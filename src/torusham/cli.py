@@ -28,7 +28,6 @@ from .oracle import (
     DEFAULT_CAP,
     HARD_CAP,
     EndpointReport,
-    SizeCapError,
     endpoint_set,
     enumerate_torus_specs,
     ham_cycle_exists_2d,
@@ -92,16 +91,24 @@ def endpoint_record(report: EndpointReport) -> dict:
 
 def word_from_record(value) -> Word:
     if isinstance(value, dict):
-        if "nested" in value:
-            return word_from_text(value["nested"])
-        if "flat" in value:
-            return word_from_flat(value["flat"])
+        for key, kind, parse in (("nested", str, word_from_text), ("flat", list, word_from_flat)):
+            if key in value:
+                if not isinstance(value[key], kind):
+                    raise ValueError(f"word entry {key!r} must be a {kind.__name__}")
+                return parse(value[key])
         raise ValueError("word object needs a 'nested' or 'flat' entry")
     if isinstance(value, list):
         return word_from_flat(value)
     if isinstance(value, str):
         return word_from_text(value)
     raise ValueError(f"cannot read a word from {type(value).__name__}")
+
+
+def _record_ints(payload: dict, key: str) -> list[int]:
+    value = payload[key]
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError(f"record entry {key!r} must be a list of integers")
+    return value
 
 
 def _env_cap() -> int | None:
@@ -112,15 +119,6 @@ def _env_cap() -> int | None:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"TORUS_HAM_CAP must be an integer, got {raw!r}") from None
-    return cap
-
-
-def _resolve_cap(flag: int | None) -> int:
-    cap = flag if flag is not None else _env_cap()
-    if cap is None:
-        cap = DEFAULT_CAP
-    if cap > HARD_CAP:
-        raise SizeCapError(f"cap {cap} exceeds the hard limit of {HARD_CAP} vertices")
     return cap
 
 
@@ -191,11 +189,11 @@ def cmd_verify(args) -> int:
             if isinstance(payload, dict):
                 word = word_from_record(payload.get("word", payload))
                 if "moduli" in payload:
-                    moduli = tuple(payload["moduli"])
+                    moduli = tuple(_record_ints(payload, "moduli"))
                 if start_text is None and "from" in payload:
-                    start_text = ",".join(map(str, payload["from"]))
+                    start_text = ",".join(map(str, _record_ints(payload, "from")))
                 if target_text is None and "to" in payload:
-                    target_text = ",".join(map(str, payload["to"]))
+                    target_text = ",".join(map(str, _record_ints(payload, "to")))
             else:
                 word = word_from_record(payload)
         if args.m is not None and args.k is not None:
@@ -207,10 +205,10 @@ def cmd_verify(args) -> int:
             raise ValueError("need --to (or a JSON record with a 'to' entry)")
         start = parse_vertex(start_text, spec.k) if start_text else spec.zero()
         target = parse_vertex(target_text, spec.k)
+        cert = verify_ham_path(spec, start, target, word)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cert = verify_ham_path(spec, start, target, word)
     if cert.verified:
         print(json.dumps(certificate_record(cert)))
         return 0
@@ -222,7 +220,7 @@ def cmd_verify(args) -> int:
 def cmd_endpoints(args) -> int:
     try:
         spec = TorusSpec(parse_moduli(args.moduli))
-        cap = _resolve_cap(args.cap)
+        cap = args.cap if args.cap is not None else _env_cap()
         report = endpoint_set(spec, spec.zero(), cap=cap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -233,24 +231,23 @@ def cmd_endpoints(args) -> int:
 
 def cmd_scan(args) -> int:
     try:
-        cap = _resolve_cap(args.max_vertices)
-        specs = list(enumerate_torus_specs(args.k, args.max_vertices))
+        # the cap is checked on the first spec, before anything is printed
+        for spec in enumerate_torus_specs(args.k, args.max_vertices):
+            report = endpoint_set(spec, spec.zero(), cap=args.max_vertices)
+            record = endpoint_record(report)
+            if args.k == 2:
+                record["cycle_exists"] = ham_cycle_exists_2d(*spec.moduli)
+            if not report.agreement:
+                print(
+                    f"counterexample: {spec.moduli} has unreachable predicted endpoints "
+                    f"{list(report.counterexamples)}",
+                    file=sys.stderr,
+                )
+            print(json.dumps(record))
+            sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for spec in specs:
-        report = endpoint_set(spec, spec.zero(), cap=cap)
-        record = endpoint_record(report)
-        if args.k == 2:
-            record["cycle_exists"] = ham_cycle_exists_2d(*spec.moduli)
-        if not report.agreement:
-            print(
-                f"counterexample: {spec.moduli} has unreachable predicted endpoints "
-                f"{list(report.counterexamples)}",
-                file=sys.stderr,
-            )
-        print(json.dumps(record))
-        sys.stdout.flush()
     return 0
 
 

@@ -48,7 +48,6 @@ class Case(enum.Enum):
 
     J_PLUS_R_EVEN = "j+r even"
     J_AND_R_NONZERO = "j and r nonzero"
-    J_EVEN_NONZERO = "j even and nonzero"
     NONE = "no case applies"
 
 
@@ -89,9 +88,9 @@ def staircase_b(m: int, n: int) -> CycleWitness:
 def classify_case(m: int, n: int, v: Vertex) -> CaseInfo:
     """Classify target (i, j) on Z_m x Z_n for the staircase arguments.
 
-    Requires m odd and m | n.  Returns the first case that applies, in the
-    order (1), (2), (3); case (3) never survives on its own, because when it
-    holds and (1) fails, r is odd and therefore nonzero, which is case (2).
+    Requires m odd and m | n.  Returns the first of cases (1) and (2) that
+    applies.  Case (3) needs no tag of its own: when it holds and (1) fails,
+    r is odd and therefore nonzero, which is case (2).
     """
     if m % 2 == 0:
         raise ValueError(f"classification needs odd m, got {m}")
@@ -104,9 +103,6 @@ def classify_case(m: int, n: int, v: Vertex) -> CaseInfo:
         return CaseInfo(Case.J_PLUS_R_EVEN, r)
     if j != 0 and r != 0:
         return CaseInfo(Case.J_AND_R_NONZERO, r)
-    if j % 2 == 0 and j != 0:
-        # unreachable: j even with j+r odd makes r odd, hence case (2) above
-        return CaseInfo(Case.J_EVEN_NONZERO, r)
     return CaseInfo(Case.NONE, r)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .torus import TorusSpec, Vertex
-from .words import Word, word_from_arcs
+from .words import Word, word_from_flat
 
 DEFAULT_CAP = 32
 HARD_CAP = 64
@@ -146,7 +146,7 @@ def ham_path_witness(
     spec.require_vertex(start)
     spec.require_vertex(target)
     arcs = _dfs_ham(spec, start, target, cycle=False)
-    return None if arcs is None else word_from_arcs(arcs)
+    return None if arcs is None else word_from_flat(arcs)
 
 
 def ham_path_exists(
@@ -159,7 +159,7 @@ def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> Word | None
     """Exhaustive search for a hamiltonian cycle based at 0."""
     _check_cap(spec, cap)
     arcs = _dfs_ham(spec, spec.zero(), spec.zero(), cycle=True)
-    return None if arcs is None else word_from_arcs(arcs)
+    return None if arcs is None else word_from_flat(arcs)
 
 
 def ham_cycle_exists_2d(m1: int, m2: int) -> bool:

@@ -34,6 +34,7 @@ from .words import (
     Symbol,
     Word,
     _expand_list,
+    _walk,
     cycle_distance,
     expect_path,
     relabel,
@@ -81,15 +82,6 @@ class ArcForcingIso:
             raise ValueError(f"{h} is not a zero-sum vertex mod {self.m}")
         return tuple(h[1:])
 
-    def generator_image(self, g: int) -> Vertex:
-        """Arc label x_{g+2} - x_1 as a vertex of the big torus."""
-        if not 0 <= g < self.k - 1:
-            raise ValueError(f"generator index {g} out of range for k-1={self.k - 1}")
-        out = [0] * self.k
-        out[0] = self.m - 1
-        out[g + 1] = 1
-        return tuple(out)
-
 
 def prism_path_word(m: int, N: int, n: int) -> Word:
     """The rolling path word over letters a, b for Z_m x Z_N, 0 <= n < N/2.
@@ -115,14 +107,6 @@ def prism_path_word(m: int, N: int, n: int) -> Word:
     )
 
 
-def _inner_vertex_at(iso: ArcForcingIso, arcs: list[int], steps: int) -> Vertex:
-    spec = iso.inner_spec
-    coords = [0] * spec.k
-    for g in arcs[:steps]:
-        coords[g] = (coords[g] + 1) % iso.m
-    return tuple(coords)
-
-
 def _rolled_path(m: int, k: int, inner: CycleWitness, n: int) -> tuple[Word, Vertex]:
     """Word and target of the rolled path, without verification."""
     iso = ArcForcingIso(m, k)
@@ -133,7 +117,8 @@ def _rolled_path(m: int, k: int, inner: CycleWitness, n: int) -> tuple[Word, Ver
     N = m ** (k - 1)
     arcs = _expand_list(inner.word)
     word = _embed_word(prism_path_word(m, N, n), arcs, "a", "b")
-    c_2n = iso.forward(_inner_vertex_at(iso, arcs, 2 * n))
+    _, inner_2n = _walk(iso.inner_spec, inner.base, arcs[: 2 * n])
+    c_2n = iso.forward(inner_2n)
     target = iso.outer_spec.subtract(c_2n, (1,) + (0,) * (k - 1))
     return word, target
 

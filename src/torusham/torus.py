@@ -27,11 +27,14 @@ class TorusSpec:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        moduli = tuple(int(m) for m in self.moduli)
+        moduli = tuple(self.moduli)
         object.__setattr__(self, "moduli", moduli)
         if not moduli:
             raise ValueError("at least one cycle length is required")
         for m in moduli:
+            # int() would silently truncate 3.9 to the wrong torus
+            if not isinstance(m, int):
+                raise ValueError(f"cycle lengths must be integers, got {m!r}")
             if m < 2:
                 raise ValueError(f"cycle lengths must be >= 2, got {m}")
         count = 1
@@ -90,9 +93,6 @@ class TorusSpec:
         if not 0 <= g < self.k:
             raise ValueError(f"generator index {g} out of range for k={self.k}")
         return v[:g] + ((v[g] + 1) % self.moduli[g],) + v[g + 1 :]
-
-    def translate(self, v: Vertex, by: Vertex) -> Vertex:
-        return tuple((a + b) % m for a, b, m in zip(v, by, self.moduli))
 
     def subtract(self, u: Vertex, v: Vertex) -> Vertex:
         return tuple((a - b) % m for a, b, m in zip(u, v, self.moduli))

@@ -48,22 +48,6 @@ class Power:
 
 Word = Union[Symbol, Concat, Power]
 
-EMPTY_WORD = Concat(())
-
-
-def concat(*parts: Word) -> Concat:
-    return Concat(tuple(parts))
-
-
-def power(base: Word, exponent: int) -> Power:
-    return Power(base, exponent)
-
-
-def word_from_arcs(arcs: Iterable[int]) -> Concat:
-    """Flat word from a sequence of generator indices."""
-    return Concat(tuple(Symbol(int(g)) for g in arcs))
-
-
 def flat_length(w: Word) -> int:
     """Length of the fully expanded word, computed without expanding."""
     if isinstance(w, Symbol):
@@ -210,6 +194,40 @@ def _weights(moduli: tuple[int, ...]) -> list[int]:
     return w
 
 
+def _walk(
+    spec: TorusSpec, start: Vertex, arcs: list, marked: tuple[Vertex, ...] = ()
+) -> tuple[int | None, Vertex]:
+    """The one exact trace: walk validated generator arcs from `start`.
+
+    Marks `start`, every vertex in `marked` and each vertex the walk lands
+    on, in a bytearray keyed by flat index.  Stops at the first arc that
+    lands on an already marked vertex and returns its 1-based position with
+    that vertex; otherwise returns None with the final vertex.
+    """
+    moduli = spec.moduli
+    weights = _weights(moduli)
+    seen = bytearray(spec.vertex_count)
+    for v in marked:
+        seen[sum(c * wt for c, wt in zip(v, weights))] = 1
+    coords = list(start)
+    idx = sum(c * wt for c, wt in zip(coords, weights))
+    seen[idx] = 1
+    pos = 0
+    for g in arcs:
+        pos += 1
+        c = coords[g] + 1
+        if c == moduli[g]:
+            c = 0
+            idx -= (moduli[g] - 1) * weights[g]
+        else:
+            idx += weights[g]
+        coords[g] = c
+        if seen[idx]:
+            return pos, tuple(coords)
+        seen[idx] = 1
+    return None, tuple(coords)
+
+
 @dataclass(frozen=True)
 class PathCertificate:
     """An endpoint-checked hamiltonian path claim.
@@ -278,38 +296,20 @@ def verify_ham_path(spec: TorusSpec, start: Vertex, target: Vertex, w: Word) -> 
             spec, start, target, w, False,
             failure=f"length {n} != vertex count - 1 = {count - 1}",
         )
-    arcs = _generator_arcs(spec, w)
-    moduli = spec.moduli
-    weights = _weights(moduli)
-    coords = list(start)
-    idx = sum(c * wt for c, wt in zip(coords, weights))
-    seen = bytearray(count)
-    seen[idx] = 1
-    pos = 0
-    for g in arcs:
-        pos += 1
-        c = coords[g] + 1
-        if c == moduli[g]:
-            c = 0
-            idx -= (moduli[g] - 1) * weights[g]
-        else:
-            idx += weights[g]
-        coords[g] = c
-        if seen[idx]:
-            return PathCertificate(
-                spec, start, target, w, False,
-                failure="repeated vertex",
-                failure_position=pos,
-                failure_vertex=tuple(coords),
-            )
-        seen[idx] = 1
-    final = tuple(coords)
-    if final != target:
+    hit, stop = _walk(spec, start, _generator_arcs(spec, w))
+    if hit is not None:
         return PathCertificate(
             spec, start, target, w, False,
-            failure=f"endpoint {final} != target {target}",
-            failure_position=pos,
-            failure_vertex=final,
+            failure="repeated vertex",
+            failure_position=hit,
+            failure_vertex=stop,
+        )
+    if stop != target:
+        return PathCertificate(
+            spec, start, target, w, False,
+            failure=f"endpoint {stop} != target {target}",
+            failure_position=n,
+            failure_vertex=stop,
         )
     return PathCertificate(spec, start, target, w, True)
 
@@ -325,31 +325,13 @@ def verify_ham_cycle(spec: TorusSpec, w: Word) -> CycleWitness | CycleRejection:
     n = flat_length(w)
     if n != count:
         return CycleRejection(spec, w, f"length {n} != vertex count {count}")
-    arcs = _generator_arcs(spec, w)
-    moduli = spec.moduli
-    weights = _weights(moduli)
-    coords = [0] * spec.k
-    idx = 0
-    seen = bytearray(count)
-    seen[0] = 1
-    pos = 0
-    last = count - 1
-    for g in arcs:
-        c = coords[g] + 1
-        if c == moduli[g]:
-            c = 0
-            idx -= (moduli[g] - 1) * weights[g]
-        else:
-            idx += weights[g]
-        coords[g] = c
-        if pos < last:
-            if seen[idx]:
-                return CycleRejection(spec, w, "revisits a vertex early", pos + 1, tuple(coords))
-            seen[idx] = 1
-        else:
-            if idx != 0:
-                return CycleRejection(spec, w, "does not close at 0", pos + 1, tuple(coords))
-        pos += 1
+    zero = spec.zero()
+    # count arcs over count vertices must land on a marked vertex by step count
+    hit, stop = _walk(spec, zero, _generator_arcs(spec, w))
+    if hit < count:
+        return CycleRejection(spec, w, "revisits a vertex early", hit, stop)
+    if stop != zero:
+        return CycleRejection(spec, w, "does not close at 0", hit, stop)
     return CycleWitness(spec, w)
 
 
@@ -379,25 +361,9 @@ def cycle_distance(c: CycleWitness, v: Vertex) -> int:
     spec.require_vertex(v)
     if v == c.base:
         return 0
-    moduli = spec.moduli
-    weights = _weights(moduli)
-    target_idx = sum(x * wt for x, wt in zip(v, weights))
-    arcs = _generator_arcs(spec, c.word)
-    coords = [0] * spec.k
-    idx = 0
-    pos = 0
-    for g in arcs:
-        cc = coords[g] + 1
-        if cc == moduli[g]:
-            cc = 0
-            idx -= (moduli[g] - 1) * weights[g]
-        else:
-            idx += weights[g]
-        coords[g] = cc
-        pos += 1
-        if idx == target_idx:
-            return pos
-    raise ValueError(f"{v} does not occur on the cycle trace")  # unreachable for real witnesses
+    # a witness repeats no vertex before it closes, so the first hit is v
+    hit, _ = _walk(spec, c.base, _generator_arcs(spec, c.word), (v,))
+    return hit
 
 
 # --- serialization ----------------------------------------------------------

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from torusham import TorusSpec, hamiltonian_path, verify_ham_path
 from torusham.cli import certificate_record, word_from_record
 
@@ -108,6 +110,29 @@ def test_verify_flat_json_word():
     assert checked.returncode == 0
 
 
+CUBE_WORD = "(x1 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3)"
+
+
+@pytest.mark.parametrize(
+    "flags, stdin",
+    [
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "x5^26"),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "(a^26)"),
+        ([], json.dumps({"moduli": 5, "to": [2, 0, 0], "word": CUBE_WORD})),
+        ([], json.dumps({"moduli": [3, 3, 3], "from": 5, "to": [2, 0, 0], "word": CUBE_WORD})),
+        ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": {"flat": 5}})),
+        # int() would read 3.9 as 3, and the word verifies on (Z_3)^3
+        ([], json.dumps({"moduli": [3.9, 3, 3], "to": [2, 0, 0], "word": CUBE_WORD})),
+    ],
+    ids=["unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float"],
+)
+def test_verify_bad_input_is_one_error_line(flags, stdin):
+    checked = run("verify", *flags, stdin=stdin)
+    assert checked.returncode == 1
+    assert checked.stderr.startswith("error: ")
+    assert len(checked.stderr.splitlines()) == 1
+
+
 def test_verify_without_spec_is_an_error():
     checked = run("verify", "--to", "0,1", stdin="(x1 x2 x1)")
     assert checked.returncode == 1
@@ -133,6 +158,9 @@ def test_endpoints_cap_flag():
     assert got.returncode == 1 and "hard limit" in got.stderr
     got = run("endpoints", "--moduli", "3,3", "--cap", "64")
     assert got.returncode == 0
+    got = run("scan", "--max-vertices", "100")
+    assert got.returncode == 1 and "hard limit" in got.stderr
+    assert got.stdout == ""
 
 
 def test_endpoints_env_cap():
@@ -140,6 +168,8 @@ def test_endpoints_env_cap():
     assert got.returncode == 1
     got = run("endpoints", "--moduli", "3,3", env_extra={"TORUS_HAM_CAP": "16"})
     assert got.returncode == 0
+    got = run("endpoints", "--moduli", "2,2,2", env_extra={"TORUS_HAM_CAP": "abc"})
+    assert got.returncode == 1 and "TORUS_HAM_CAP" in got.stderr
 
 
 def test_scan_smallest():

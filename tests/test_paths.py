@@ -87,9 +87,6 @@ def test_iso_round_trip_and_generators():
             h = iso.forward(w)
             assert sum(h) % m == 0
             assert iso.backward(h) == w
-        for g in range(k - 1):
-            img = iso.generator_image(g)
-            assert img[0] == m - 1 and img[g + 1] == 1
 
 
 def test_iso_is_digraph_isomorphism():
@@ -98,10 +95,11 @@ def test_iso_is_digraph_isomorphism():
         iso = ArcForcingIso(m, k)
         inner = iso.inner_spec
         outer = iso.outer_spec
+        x_1 = (1,) + (0,) * (k - 1)
         for w in itertools.product(range(m), repeat=k - 1):
             for g in range(k - 1):
                 stepped = iso.forward(inner.add_step(w, g))
-                assert stepped == outer.translate(iso.forward(w), iso.generator_image(g))
+                assert stepped == outer.subtract(outer.add_step(iso.forward(w), g + 1), x_1)
 
 
 def test_iso_backward_requires_zero_sum():

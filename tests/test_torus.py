@@ -14,6 +14,8 @@ def test_moduli_validation():
         TorusSpec((3, 1))
     with pytest.raises(ValueError):
         TorusSpec((0,))
+    with pytest.raises(ValueError, match="integers"):
+        TorusSpec((3.9, 3))
 
 
 def test_vertex_count_overflow_rejected():

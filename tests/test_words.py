@@ -22,7 +22,6 @@ from torusham import (
     trace,
     verify_ham_cycle,
     verify_ham_path,
-    word_from_arcs,
     word_from_flat,
     word_from_text,
     word_to_flat,
@@ -71,7 +70,7 @@ def test_symbol_counts_match_expansion(w):
 
 def test_trace_examples():
     spec = TorusSpec((3, 3))
-    w = word_from_arcs([0, 0, 1])
+    w = word_from_flat([0, 0, 1])
     assert list(trace(spec, (0, 0), w)) == [(0, 0), (1, 0), (2, 0), (2, 1)]
     spec3 = TorusSpec((2, 2, 2))
     assert list(trace(spec3, (0, 0, 0), Concat(()))) == [(0, 0, 0)]
@@ -128,7 +127,7 @@ def _naive_ham_path(spec, start, target, w):
 
 def test_verify_ham_path_hand_case():
     spec = TorusSpec((2, 2))
-    w = word_from_arcs([0, 1, 0])
+    w = word_from_flat([0, 1, 0])
     assert verify_ham_path(spec, (0, 0), (0, 1), w).verified
     cert = verify_ham_path(spec, (0, 0), (1, 0), w)
     assert not cert.verified and "endpoint" in cert.failure
@@ -136,7 +135,7 @@ def test_verify_ham_path_hand_case():
 
 def test_verify_ham_path_reports_first_repeat():
     spec = TorusSpec((2, 2))
-    cert = verify_ham_path(spec, (0, 0), (0, 1), word_from_arcs([0, 0, 1]))
+    cert = verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0, 0, 1]))
     assert not cert.verified
     assert cert.failure == "repeated vertex"
     assert cert.failure_position == 2
@@ -145,7 +144,7 @@ def test_verify_ham_path_reports_first_repeat():
 
 def test_verify_ham_path_length_mismatch():
     spec = TorusSpec((2, 2))
-    cert = verify_ham_path(spec, (0, 0), (0, 1), word_from_arcs([0]))
+    cert = verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0]))
     assert not cert.verified and "length" in cert.failure
 
 
@@ -165,12 +164,12 @@ def test_verify_ham_cycle_examples():
     assert isinstance(bad, CycleRejection)
     assert bad.reason == "revisits a vertex early"
     spec22 = TorusSpec((2, 2))
-    assert isinstance(verify_ham_cycle(spec22, word_from_arcs([0, 1, 0, 1])), CycleWitness)
+    assert isinstance(verify_ham_cycle(spec22, word_from_flat([0, 1, 0, 1])), CycleWitness)
 
 
 def test_verify_ham_cycle_wrong_closure():
     spec = TorusSpec((2, 2))
-    got = verify_ham_cycle(spec, word_from_arcs([0, 1, 1, 0]))
+    got = verify_ham_cycle(spec, word_from_flat([0, 1, 1, 0]))
     assert isinstance(got, CycleRejection)
 
 
@@ -218,7 +217,6 @@ def test_flat_round_trip():
     arcs = [0, 2, 1, 1, 0]
     w = word_from_flat(arcs)
     assert word_to_flat(w) == arcs
-    assert word_to_flat(word_from_arcs(arcs)) == arcs
     with pytest.raises(ValueError):
         word_to_flat(Symbol("a"))
     with pytest.raises(ValueError):
