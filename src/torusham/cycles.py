@@ -20,6 +20,9 @@ Higher powers (Z_m)^n are handled by induction: roll a hamiltonian cycle of
 (Z_m)^(n-1) into the fibers of Z_m x Z_{m^(n-1)} (product_embed), and pick
 the 2-dimensional cycle through class (3), since the inner distance is even
 and nonzero by induction.
+
+Cycles are carried as flat bytes of generator indices (CycleWitness.arcs);
+word trees appear only in the certificates that the paths module builds.
 """
 
 from __future__ import annotations
@@ -27,20 +30,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle
 
 from .torus import TorusSpec, Perm, Vertex, identity_perm, invert_perm, transposition
-from .words import (
-    Concat,
-    CycleWitness,
-    Power,
-    Symbol,
-    Word,
-    _expand_list,
-    cycle_distance,
-    expand,
-    expect_cycle,
-    relabel,
-)
+from .words import CycleWitness, cycle_distance, expect_cycle
 
 
 class Case(enum.Enum):
@@ -72,17 +65,13 @@ def _staircase_spec(m: int, n: int) -> TorusSpec:
 @lru_cache(maxsize=None)
 def staircase_a(m: int, n: int) -> CycleWitness:
     """Verified hamiltonian cycle (x1^(m-1) x2)^n on Z_m x Z_n, m | n."""
-    spec = _staircase_spec(m, n)
-    word = Power(Concat((Power(Symbol(0), m - 1), Symbol(1))), n)
-    return expect_cycle(spec, word)
+    return expect_cycle(_staircase_spec(m, n), (bytes(m - 1) + b"\1") * n)
 
 
 @lru_cache(maxsize=None)
 def staircase_b(m: int, n: int) -> CycleWitness:
     """Verified hamiltonian cycle (x2 x1^(m-1))^n on Z_m x Z_n, m | n."""
-    spec = _staircase_spec(m, n)
-    word = Power(Concat((Symbol(1), Power(Symbol(0), m - 1))), n)
-    return expect_cycle(spec, word)
+    return expect_cycle(_staircase_spec(m, n), (b"\1" + bytes(m - 1)) * n)
 
 
 def classify_case(m: int, n: int, v: Vertex) -> CaseInfo:
@@ -134,40 +123,20 @@ def even_distance_cycle_2d(m: int, n: int, v: Vertex) -> tuple[CycleWitness, int
     return witness, dist
 
 
-def _embed_word(outer: Word, inner_arcs: list[int], plain, consume) -> Word:
-    """Rewrite an outer word, rolling a cursor along the inner arc sequence.
+def _embed(outer: bytes, inner: bytes) -> bytes:
+    """Roll a cursor along the inner arcs while copying outer 0/1 arcs.
 
-    `plain` symbols map to generator 0 of the product; each `consume` symbol
-    maps to the inner cycle's current arc lifted to coordinates 1.., after
-    which the cursor advances (wrapping at the inner length).  Runs of plain
-    symbols are kept run-length compressed.
+    Each 0 (plain) arc stays generator 0; the i-th 1 (consume) arc becomes
+    inner arc i mod len(inner), plus 1.
     """
-    length = len(inner_arcs)
-    parts: list[Word] = []
-    run = 0
-    p = 0
-    for label in expand(outer):
-        if label == plain:
-            run += 1
-        elif label == consume:
-            if run == 1:
-                parts.append(Symbol(0))
-            elif run > 1:
-                parts.append(Power(Symbol(0), run))
-            run = 0
-            parts.append(Symbol(inner_arcs[p % length] + 1))
-            p += 1
-        else:
-            raise ValueError(f"unexpected symbol {label!r} in outer word")
-    if run == 1:
-        parts.append(Symbol(0))
-    elif run > 1:
-        parts.append(Power(Symbol(0), run))
-    return Concat(tuple(parts))
+    if outer.translate(None, b"\0\1"):
+        raise ValueError("outer arcs must be 0 (plain) or 1 (consume)")
+    cursor = cycle(inner)
+    return bytes(next(cursor) + 1 if a else 0 for a in outer)
 
 
-def product_embed(m: int, inner: CycleWitness, outer_word: Word) -> Word:
-    """Lift a word on Z_m x Z_{m^(n-1)} through a cycle of (Z_m)^(n-1).
+def product_embed(m: int, inner: CycleWitness, outer: bytes) -> bytes:
+    """Lift flat arcs on Z_m x Z_{m^(n-1)} through a cycle of (Z_m)^(n-1).
 
     The embedding sends (i, j) to i*e_0 + c_j, where c_j is the j-th vertex
     of the inner cycle placed on coordinates 1..n-1.  Generator 0 of the
@@ -178,7 +147,12 @@ def product_embed(m: int, inner: CycleWitness, outer_word: Word) -> Word:
         raise ValueError("inner cycle must be a verified CycleWitness")
     if not (inner.spec.is_equal_power and inner.spec.moduli[0] == m):
         raise ValueError(f"inner cycle must live on a power of Z_{m}, got {inner.spec.moduli}")
-    return _embed_word(outer_word, _expand_list(inner.word), 0, 1)
+    return _embed(outer, inner.arcs)
+
+
+def _arc_table(perm: Perm) -> bytes:
+    """bytes.translate table sending generator g to perm[g]."""
+    return bytes(perm) + bytes(range(len(perm), 256))
 
 
 def conjugate_cycle(witness: CycleWitness, perm: Perm) -> CycleWitness:
@@ -192,9 +166,7 @@ def conjugate_cycle(witness: CycleWitness, perm: Perm) -> CycleWitness:
     perm = spec.require_perm(perm)
     if perm == identity_perm(spec.k):
         return witness
-    inv = invert_perm(perm)
-    word = relabel(witness.word, {g: inv[g] for g in range(spec.k)})
-    return expect_cycle(spec, word)
+    return expect_cycle(spec, witness.arcs.translate(_arc_table(invert_perm(perm))))
 
 
 def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[CycleWitness, int, Perm]:
@@ -236,11 +208,8 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[CycleWitness, 
         witness, dist = even_distance_cycle_2d(m, m, (j, i))
         return witness, dist, transposition(2, 0, 1)
 
-    fiber = m ** (n - 1)
     if all(c == 0 for c in v):
-        inner, _, _ = even_distance_cycle_power(m, n - 1, (0,) * (n - 1))
-        word = product_embed(m, inner, staircase_a(m, fiber).word)
-        return expect_cycle(spec, word), 0, identity_perm(n)
+        return any_cycle_power(m, n), 0, identity_perm(n)
 
     last = max(idx for idx, c in enumerate(v) if c != 0)
     perm = identity_perm(n) if last == n - 1 else transposition(n, last, n - 1)
@@ -250,8 +219,8 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[CycleWitness, 
     inner = conjugate_cycle(inner_raw, inner_perm)
     if inner_dist % 2 != 0 or inner_dist == 0:
         raise AssertionError(f"inner distance {inner_dist} is not even and nonzero for {tail}")
-    outer, dist = even_distance_cycle_2d(m, fiber, (u[0], inner_dist))
-    witness = expect_cycle(spec, product_embed(m, inner, outer.word))
+    outer, dist = even_distance_cycle_2d(m, m ** (n - 1), (u[0], inner_dist))
+    witness = expect_cycle(spec, product_embed(m, inner, outer.arcs))
     if cycle_distance(witness, u) != dist:
         raise AssertionError(f"embedded distance disagrees with trace for {v} on (Z_{m})^{n}")
     return witness, dist, perm
@@ -267,9 +236,9 @@ def any_cycle_power(m: int, n: int) -> CycleWitness:
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     if n == 1:
-        return expect_cycle(TorusSpec.power(m, 1), Power(Symbol(0), m))
+        return expect_cycle(TorusSpec.power(m, 1), bytes(m))
     if n == 2:
         return staircase_a(m, m)
     inner = any_cycle_power(m, n - 1)
-    word = product_embed(m, inner, staircase_a(m, m ** (n - 1)).word)
-    return expect_cycle(TorusSpec.power(m, n), word)
+    arcs = product_embed(m, inner, staircase_a(m, m ** (n - 1)).arcs)
+    return expect_cycle(TorusSpec.power(m, n), arcs)

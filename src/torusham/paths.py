@@ -37,10 +37,11 @@ from .words import (
     _walk,
     cycle_distance,
     expect_path,
-    relabel,
+    word_from_runs,
 )
 from .cycles import (
-    _embed_word,
+    _arc_table,
+    _embed,
     any_cycle_power,
     conjugate_cycle,
     even_distance_cycle_power,
@@ -107,20 +108,24 @@ def prism_path_word(m: int, N: int, n: int) -> Word:
     )
 
 
-def _rolled_path(m: int, k: int, inner: CycleWitness, n: int) -> tuple[Word, Vertex]:
-    """Word and target of the rolled path, without verification."""
+def _rolled_path(m: int, k: int, inner: CycleWitness, n: int) -> tuple[bytes, Vertex]:
+    """Flat arcs and target of the rolled path, without verification.
+
+    Expands prism_path_word and embeds the inner cycle the way product_embed
+    does: each a becomes generator 0, and the i-th b becomes inner arc
+    i mod len(inner), plus 1.
+    """
     iso = ArcForcingIso(m, k)
     if inner.spec != iso.inner_spec:
         raise ValueError(
             f"inner cycle lives on {inner.spec.moduli}, expected {(m,) * (k - 1)}"
         )
-    N = m ** (k - 1)
-    arcs = _expand_list(inner.word)
-    word = _embed_word(prism_path_word(m, N, n), arcs, "a", "b")
-    _, inner_2n = _walk(iso.inner_spec, inner.base, arcs[: 2 * n])
+    prism = _expand_list(prism_path_word(m, m ** (k - 1), n))
+    arcs = _embed(bytes(map({"a": 0, "b": 1}.__getitem__, prism)), inner.arcs)
+    _, inner_2n = _walk(iso.inner_spec, inner.base, inner.arcs[: 2 * n])
     c_2n = iso.forward(inner_2n)
     target = iso.outer_spec.subtract(c_2n, (1,) + (0,) * (k - 1))
-    return word, target
+    return arcs, target
 
 
 def path_from_inner_cycle(m: int, k: int, inner: CycleWitness, n: int) -> PathCertificate:
@@ -130,8 +135,8 @@ def path_from_inner_cycle(m: int, k: int, inner: CycleWitness, n: int) -> PathCe
     cycle c_0, c_1, ... of the zero-sum subgroup through the arc-forcing
     isomorphism.  Aborts rather than return an unverified certificate.
     """
-    word, target = _rolled_path(m, k, inner, n)
-    return expect_path(TorusSpec.power(m, k), (0,) * k, target, word)
+    arcs, target = _rolled_path(m, k, inner, n)
+    return expect_path(TorusSpec.power(m, k), (0,) * k, target, word_from_runs(arcs, 0))
 
 
 def _require_admissible(m: int, k: int, v: Vertex, parity: int) -> TorusSpec:
@@ -182,11 +187,10 @@ def path_for_even_m(m: int, k: int, v: Vertex) -> PathCertificate:
     if dist % 2 != 0:
         raise AssertionError(f"bipartition violated: distance {dist} to {h[1:]} is odd")
 
-    word, target = _rolled_path(m, k, inner, dist // 2)
+    arcs, target = _rolled_path(m, k, inner, dist // 2)
     if target != u:
         raise AssertionError(f"constructed endpoint {target} != permuted target {u}")
-    if tau != identity_perm(k):
-        word = relabel(word, {g: tau[g] for g in range(k)})
+    word = word_from_runs(arcs.translate(_arc_table(tau)), tau[0])
     return expect_path(spec, spec.zero(), v, word)
 
 

@@ -7,6 +7,10 @@ cycle length 2 several building blocks degenerate to it).  Symbol labels are
 either generator indices (ints, rendered x1..xk) or opaque letters such as
 "a" and "b" for words over non-standard arc alphabets.
 
+Trees are the certificate and text format.  Constructions carry arcs flat,
+as bytes of generator indices (CycleWitness.arcs), and build a certificate
+tree once with word_from_runs.
+
 Verification is exact: a visited set sized to the vertex count, no
 probabilistic shortcuts.  Certificates are the product of this library, so
 the verifiers are the one place allowed to be boring and thorough.
@@ -106,23 +110,13 @@ def _expand_list(w: Word) -> list:
     raise TypeError(f"not a word: {w!r}")
 
 
-def relabel(w: Word, mapping: Mapping) -> Word:
-    """Rebuild the tree with every symbol label pushed through `mapping`."""
-    if isinstance(w, Symbol):
-        try:
-            return Symbol(mapping[w.label])
-        except KeyError:
-            raise ValueError(f"label {w.label!r} has no image under the relabeling") from None
-    if isinstance(w, Concat):
-        return Concat(tuple(relabel(p, mapping) for p in w.parts))
-    if isinstance(w, Power):
-        return Power(relabel(w.base, mapping), w.exponent)
-    raise TypeError(f"not a word: {w!r}")
-
-
-def _generator_arcs(spec: TorusSpec, w: Word) -> list:
-    arcs = _expand_list(w)
+def _generator_arcs(spec: TorusSpec, w: Word | bytes) -> list | bytes:
     k = spec.k
+    if isinstance(w, bytes):
+        if w and max(w) >= k:
+            raise ValueError(f"arc {max(w)} is not a generator index in [0, {k})")
+        return w
+    arcs = _expand_list(w)
     for g in arcs:
         if type(g) is not int or not 0 <= g < k:
             raise ValueError(f"symbol {g!r} is not a generator index in [0, {k})")
@@ -195,7 +189,7 @@ def _weights(moduli: tuple[int, ...]) -> list[int]:
 
 
 def _walk(
-    spec: TorusSpec, start: Vertex, arcs: list, marked: tuple[Vertex, ...] = ()
+    spec: TorusSpec, start: Vertex, arcs: Iterable[int], marked: tuple[Vertex, ...] = ()
 ) -> tuple[int | None, Vertex]:
     """The one exact trace: walk validated generator arcs from `start`.
 
@@ -255,12 +249,13 @@ class PathCertificate:
 class CycleWitness:
     """A based hamiltonian cycle: full trace from 0 back to 0.
 
-    Only `verify_ham_cycle` (or its strict wrapper) should build these, so
+    `arcs` holds the cycle flat, one generator index per byte.  Only
+    `verify_ham_cycle` (or its strict wrapper) should build these, so
     holding one means the trace check has already passed.
     """
 
     spec: TorusSpec
-    word: Word
+    arcs: bytes
 
     @property
     def base(self) -> Vertex:
@@ -268,13 +263,13 @@ class CycleWitness:
 
     @property
     def length(self) -> int:
-        return flat_length(self.word)
+        return len(self.arcs)
 
 
 @dataclass(frozen=True)
 class CycleRejection:
     spec: TorusSpec
-    word: Word
+    word: Word | bytes
     reason: str
     position: int | None = None
     vertex: Vertex | None = None
@@ -314,28 +309,29 @@ def verify_ham_path(spec: TorusSpec, start: Vertex, target: Vertex, w: Word) -> 
     return PathCertificate(spec, start, target, w, True)
 
 
-def verify_ham_cycle(spec: TorusSpec, w: Word) -> CycleWitness | CycleRejection:
-    """Check that the word traces a hamiltonian cycle based at 0.
+def verify_ham_cycle(spec: TorusSpec, w: Word | bytes) -> CycleWitness | CycleRejection:
+    """Check that a word tree or flat arcs trace a hamiltonian cycle based at 0.
 
     Accepts exactly the words of length vertex_count whose trace visits
     every vertex once and returns to 0.  Rejections are reported, not
     raised.
     """
     count = spec.vertex_count
-    n = flat_length(w)
+    n = len(w) if isinstance(w, bytes) else flat_length(w)
     if n != count:
         return CycleRejection(spec, w, f"length {n} != vertex count {count}")
     zero = spec.zero()
+    arcs = bytes(_generator_arcs(spec, w))
     # count arcs over count vertices must land on a marked vertex by step count
-    hit, stop = _walk(spec, zero, _generator_arcs(spec, w))
+    hit, stop = _walk(spec, zero, arcs)
     if hit < count:
         return CycleRejection(spec, w, "revisits a vertex early", hit, stop)
     if stop != zero:
         return CycleRejection(spec, w, "does not close at 0", hit, stop)
-    return CycleWitness(spec, w)
+    return CycleWitness(spec, arcs)
 
 
-def expect_cycle(spec: TorusSpec, w: Word) -> CycleWitness:
+def expect_cycle(spec: TorusSpec, w: Word | bytes) -> CycleWitness:
     """Verify or abort; for constructions that must never emit unverified."""
     got = verify_ham_cycle(spec, w)
     if isinstance(got, CycleRejection):
@@ -362,7 +358,7 @@ def cycle_distance(c: CycleWitness, v: Vertex) -> int:
     if v == c.base:
         return 0
     # a witness repeats no vertex before it closes, so the first hit is v
-    hit, _ = _walk(spec, c.base, _generator_arcs(spec, c.word), (v,))
+    hit, _ = _walk(spec, c.base, c.arcs, (v,))
     return hit
 
 
@@ -468,3 +464,14 @@ def word_from_flat(arcs: Iterable[int]) -> Concat:
             raise ValueError(f"flat form entries must be non-negative ints, got {g!r}")
         out.append(Symbol(g))
     return Concat(tuple(out))
+
+
+def word_from_runs(arcs: bytes, g: int) -> Concat:
+    """Certificate tree of flat arcs, run-length encoding generator g.
+
+    Each maximal run of g becomes Power(Symbol(g), e), or Symbol(g) when
+    e = 1, and every other arc becomes a Symbol.  Equal runs share one node.
+    """
+    tokens = re.findall(re.escape(bytes([g])) + b"+|.", arcs, re.DOTALL)
+    nodes = {t: Power(Symbol(g), len(t)) if len(t) > 1 else Symbol(t[0]) for t in set(tokens)}
+    return Concat(tuple(map(nodes.__getitem__, tokens)))

@@ -123,8 +123,14 @@ CUBE_WORD = "(x1 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2
         ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": {"flat": 5}})),
         # int() would read 3.9 as 3, and the word verifies on (Z_3)^3
         ([], json.dumps({"moduli": [3.9, 3, 3], "to": [2, 0, 0], "word": CUBE_WORD})),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "(" * 3000 + "x1" + ")" * 3000),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "x1" + "^1" * 3000),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "[" * 100000 + "]" * 100000),
     ],
-    ids=["unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float"],
+    ids=[
+        "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float",
+        "deep-parentheses", "deep-powers", "deep-json-array",
+    ],
 )
 def test_verify_bad_input_is_one_error_line(flags, stdin):
     checked = run("verify", *flags, stdin=stdin)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,7 @@ from torusham import (
     word_to_flat,
     word_to_text,
 )
-from torusham.words import _expand_list
+from torusham.words import _expand_list, word_from_runs
 
 A, B = Symbol("a"), Symbol("b")
 AB_STEPS = {"a": (1, 0), "b": (1, 1)}
@@ -221,3 +222,16 @@ def test_flat_round_trip():
         word_to_flat(Symbol("a"))
     with pytest.raises(ValueError):
         word_from_flat(["a"])
+
+
+# 10 is the newline byte and 40, 42 are regex metacharacters
+ARC_BYTES = st.sampled_from([0, 1, 10, 40, 42, 255])
+
+
+@given(st.lists(ARC_BYTES, max_size=64).map(bytes), ARC_BYTES)
+def test_run_length_encoder_round_trip(arcs, g):
+    w = word_from_runs(arcs, g)
+    assert word_to_flat(w) == list(arcs)
+    assert set(re.findall(r"(\w+)\^", word_to_text(w))) <= {f"x{g + 1}"}
+    labels = [p.base.label if isinstance(p, Power) else p.label for p in w.parts]
+    assert not any(a == b == g for a, b in zip(labels, labels[1:])), "runs must be maximal"
