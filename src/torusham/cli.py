@@ -206,8 +206,8 @@ def cmd_verify(args) -> int:
         start = parse_vertex(start_text, spec.k) if start_text else spec.zero()
         target = parse_vertex(target_text, spec.k)
         cert = verify_ham_path(spec, start, target, word)
-    except (ValueError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the JSON parser or the tree walks recurse
+    except (OSError, ValueError, RecursionError) as exc:
+        # OSError: an unreadable --file; RecursionError: JSON or word nesting too deep
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cert.verified:

@@ -1,24 +1,27 @@
 """Certified hamiltonian paths between prescribed endpoints in (Z_m)^k.
 
 For k >= 3 a hamiltonian path from u to v exists exactly when the coordinate
-sums satisfy sum(v - u) = -1 (mod m).  Construction runs start-at-zero: the
+sums satisfy sum(v - u) = -1 (mod m).  Translation by u is a digraph
+automorphism, so the construction builds a word for w = v - u from 0: the
 subgroup H of zero-sum vertices is generated by the differences x_t - x_1,
 and Cay(H; S - x_1) is isomorphic to the (k-1)-power torus, so a hamiltonian
-cycle c_0, c_1, ... of H with an even distance 2n to v + x_1 can be rolled
+cycle c_0, c_1, ... of H with an even distance 2n to w + x_1 can be rolled
 into the full torus.  The rolling pattern is the prism path word over
 a = (1, 0) and b = (1, 1) on Z_m x Z_N with N = m^(k-1):
 
     ( (a^(m-2) b^2)^n  (a^(m-2) b a)^(N-2n-1)  (a^(m-2) b^2)^n  a^(m-2)  b )
 
 a hamiltonian path from 0 to (-1, 2n) of length m*N - 1.  Substituting
-a -> x_1 and the i-th b -> x_1 + (c_{i+1} - c_i) lands the certified path at
-c_{2n} - x_1 = v.
+a -> x_1 and the i-th b -> x_1 + (c_{i+1} - c_i) lands the rolled path at
+c_{2n} - x_1 = w.
 
-For even m any hamiltonian cycle of H works: arcs of Cay(H; S - x_1) lower
-the first coordinate by one, so first-coordinate parity bipartitions H and
-forces the distance to v + x_1 even once some odd coordinate of v is moved
-to the front.  For odd m the parity-targeted cycles come from the cycles
-module.
+The parity of m only picks the inner cycle.  For odd m the parity-targeted
+cycles come from the cycles module.  For even m any hamiltonian cycle of H
+works: arcs of Cay(H; S - x_1) lower the first coordinate by one, so
+first-coordinate parity bipartitions H and forces the distance to w + x_1
+even once a transposition tau moves an odd coordinate of w to the front
+(the rolled arcs are relabelled back by tau).  Either way the certificate
+is traced once, from u to v.
 """
 
 from __future__ import annotations
@@ -139,61 +142,6 @@ def path_from_inner_cycle(m: int, k: int, inner: CycleWitness, n: int) -> PathCe
     return expect_path(TorusSpec.power(m, k), (0,) * k, target, word_from_runs(arcs, 0))
 
 
-def _require_admissible(m: int, k: int, v: Vertex, parity: int) -> TorusSpec:
-    if m < 2 or m % 2 != parity:
-        raise ValueError(f"this branch handles {'even' if parity == 0 else 'odd'} m, got {m}")
-    if k < 3:
-        raise ValueError(f"construction needs k >= 3, got {k}")
-    spec = TorusSpec.power(m, k)
-    spec.require_vertex(v)
-    if spec.residue_sum(v, m) != m - 1:
-        raise ValueError(f"target {v} has coordinate sum {sum(v) % m} != -1 (mod {m})")
-    return spec
-
-
-def path_for_odd_m(m: int, k: int, v: Vertex) -> PathCertificate:
-    """Certified hamiltonian path 0 -> v in (Z_m)^k for odd m, k >= 3."""
-    _require_admissible(m, k, v, 1)
-    h = ((v[0] + 1) % m,) + v[1:]
-    tail = h[1:]
-    raw, dist, perm = even_distance_cycle_power(m, k - 1, tail)
-    inner = conjugate_cycle(raw, perm)
-    if dist % 2 != 0:
-        raise AssertionError(f"cycle distance {dist} to {tail} is odd")
-    cert = path_from_inner_cycle(m, k, inner, dist // 2)
-    if cert.target != v:
-        raise AssertionError(f"constructed endpoint {cert.target} != requested {v}")
-    return cert
-
-
-def path_for_even_m(m: int, k: int, v: Vertex) -> PathCertificate:
-    """Certified hamiltonian path 0 -> v in (Z_m)^k for even m, k >= 3.
-
-    Moves the first odd coordinate of v to the front (the coordinate sum is
-    odd, so one exists), then uses any hamiltonian cycle of the zero-sum
-    subgroup: the bipartition by first-coordinate parity makes the distance
-    to v + x_1 automatically even.
-    """
-    spec = _require_admissible(m, k, v, 0)
-    odd_at = next((idx for idx, c in enumerate(v) if c % 2 == 1), None)
-    if odd_at is None:
-        raise AssertionError(f"no odd coordinate in {v} despite odd coordinate sum")
-    tau = identity_perm(k) if odd_at == 0 else transposition(k, 0, odd_at)
-    u = spec.permute_coords(v, tau)
-
-    inner = any_cycle_power(m, k - 1)
-    h = ((u[0] + 1) % m,) + u[1:]
-    dist = cycle_distance(inner, h[1:])
-    if dist % 2 != 0:
-        raise AssertionError(f"bipartition violated: distance {dist} to {h[1:]} is odd")
-
-    arcs, target = _rolled_path(m, k, inner, dist // 2)
-    if target != u:
-        raise AssertionError(f"constructed endpoint {target} != permuted target {u}")
-    word = word_from_runs(arcs.translate(_arc_table(tau)), tau[0])
-    return expect_path(spec, spec.zero(), v, word)
-
-
 @dataclass(frozen=True)
 class Refusal:
     """A certified non-existence answer for the endpoint congruence.
@@ -228,6 +176,9 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     path exists), or an exception for unusable inputs.  k = 2 is rejected:
     for odd m only about half the admissible endpoints are reachable there,
     so no uniform construction exists; use the search oracle instead.
+
+    The parity of m picks the inner cycle, its distance and the permutation;
+    one shared tail rolls, relabels and trace-checks the word at (u, v).
     """
     if m < 2:
         raise ValueError(f"cycle length must be >= 2, got {m}")
@@ -243,11 +194,22 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     residue = spec.residue_sum(diff, m)
     if residue != m - 1:
         return Refusal(spec, u, v, residue, m - 1)
+    # translation by u is an automorphism: a word from 0 to v - u runs from u to v
     if m % 2 == 1:
-        cert = path_for_odd_m(m, k, diff)
+        tau = identity_perm(k)
+        w = diff
+        raw, dist, perm = even_distance_cycle_power(m, k - 1, w[1:])
+        inner = conjugate_cycle(raw, perm)
     else:
-        cert = path_for_even_m(m, k, diff)
-    if u == spec.zero():
-        return cert
-    # translation by u is a digraph automorphism: same word, shifted trace
-    return expect_path(spec, u, v, cert.word)
+        # the coordinate sum is odd, so some coordinate is: move the first one to the front
+        tau = transposition(k, 0, next(i for i, c in enumerate(diff) if c % 2 == 1))
+        w = spec.permute_coords(diff, tau)
+        inner = any_cycle_power(m, k - 1)
+        dist = cycle_distance(inner, w[1:])
+    if dist % 2 != 0:
+        raise AssertionError(f"cycle distance {dist} to {w[1:]} is odd")
+    arcs, target = _rolled_path(m, k, inner, dist // 2)
+    if target != w:
+        raise AssertionError(f"constructed endpoint {target} != permuted target {w}")
+    word = word_from_runs(arcs.translate(_arc_table(tau)), tau[0])
+    return expect_path(spec, u, v, word)

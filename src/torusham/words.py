@@ -402,6 +402,9 @@ def word_from_text(text: str) -> Word:
     if "".join(tokens) != re.sub(r"\s+", "", text):
         raise ValueError("unrecognized characters in word text")
     pos = 0
+    # equal leaves share one node; Concat bases are not hashed (that hash recurses)
+    symbols: dict[str, Symbol] = {}
+    powers: dict[tuple[str, int], Power] = {}
 
     def peek() -> str | None:
         return tokens[pos] if pos < len(tokens) else None
@@ -420,14 +423,17 @@ def word_from_text(text: str) -> Word:
             node: Word = Concat(tuple(parts))
         elif tok is not None and tok not in (")", "^") and not tok.isdigit():
             pos += 1
-            gen = _GEN_RE.match(tok)
-            if gen:
-                index = int(gen.group(1))
-                if index < 1:
-                    raise ValueError(f"generator token {tok!r} must be x1 or higher")
-                node = Symbol(index - 1)
-            else:
-                node = Symbol(tok)
+            node = symbols.get(tok)
+            if node is None:
+                gen = _GEN_RE.match(tok)
+                if gen:
+                    index = int(gen.group(1))
+                    if index < 1:
+                        raise ValueError(f"generator token {tok!r} must be x1 or higher")
+                    node = Symbol(index - 1)
+                else:
+                    node = Symbol(tok)
+                symbols[tok] = node
         else:
             raise ValueError(f"unexpected token {tok!r} in word text")
         while peek() == "^":
@@ -436,7 +442,13 @@ def word_from_text(text: str) -> Word:
             if exp is None or not exp.isdigit():
                 raise ValueError("exponent must be a non-negative integer")
             pos += 1
-            node = Power(node, int(exp))
+            if isinstance(node, Symbol):
+                key = (tok, int(exp))
+                if key not in powers:
+                    powers[key] = Power(node, key[1])
+                node = powers[key]
+            else:
+                node = Power(node, int(exp))
         return node
 
     items = []
@@ -458,12 +470,13 @@ def word_to_flat(w: Word) -> list[int]:
 
 
 def word_from_flat(arcs: Iterable[int]) -> Concat:
-    out = []
+    """Concat of one Symbol per arc; equal arcs share one node."""
+    arcs = list(arcs)
     for g in arcs:
         if type(g) is not int or g < 0:
             raise ValueError(f"flat form entries must be non-negative ints, got {g!r}")
-        out.append(Symbol(g))
-    return Concat(tuple(out))
+    nodes = {g: Symbol(g) for g in set(arcs)}
+    return Concat(tuple(map(nodes.__getitem__, arcs)))
 
 
 def word_from_runs(arcs: bytes, g: int) -> Concat:

@@ -5,15 +5,19 @@ import sys
 
 import pytest
 
+import torusham
 from torusham import TorusSpec, hamiltonian_path, verify_ham_path
 from torusham.cli import certificate_record, word_from_record
 
 BASE = [sys.executable, "-m", "torusham"]
+# children import the package this suite imported, with or without PYTHONPATH
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(torusham.__file__))
 
 
 def run(*args, stdin=None, env_extra=None):
     env = dict(os.environ)
     env.pop("TORUS_HAM_CAP", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -110,6 +114,7 @@ def test_verify_flat_json_word():
     assert checked.returncode == 0
 
 
+MISSING_FILE = os.path.join(os.path.dirname(__file__), "no-such-word.txt")
 CUBE_WORD = "(x1 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3)"
 
 
@@ -126,10 +131,12 @@ CUBE_WORD = "(x1 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "(" * 3000 + "x1" + ")" * 3000),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "x1" + "^1" * 3000),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[" * 100000 + "]" * 100000),
+        (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", MISSING_FILE], ""),
+        (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", os.curdir], ""),
     ],
     ids=[
         "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float",
-        "deep-parentheses", "deep-powers", "deep-json-array",
+        "deep-parentheses", "deep-powers", "deep-json-array", "missing-file", "directory-file",
     ],
 )
 def test_verify_bad_input_is_one_error_line(flags, stdin):

@@ -14,8 +14,6 @@ from torusham import (
     endpoint,
     flat_length,
     hamiltonian_path,
-    path_for_even_m,
-    path_for_odd_m,
     path_from_inner_cycle,
     prism_path_word,
     staircase_a,
@@ -25,6 +23,8 @@ from torusham import (
     verify_ham_cycle,
     CycleWitness,
 )
+from torusham import paths
+from torusham.words import expect_path
 
 AB_STEPS = {"a": (1, 0), "b": (1, 1)}
 
@@ -127,32 +127,53 @@ def test_path_from_inner_cycle_even_m():
 
 
 def test_path_for_odd_m_examples():
-    cert = path_for_odd_m(3, 3, (2, 0, 0))
+    zero = (0, 0, 0)
+    cert = hamiltonian_path(3, 3, zero, (2, 0, 0))
     assert cert.verified and cert.length == 26
-    cert = path_for_odd_m(3, 3, (0, 1, 1))
+    cert = hamiltonian_path(3, 3, zero, (0, 1, 1))
     assert cert.verified
-    cert = path_for_odd_m(5, 3, (4, 0, 0))
+    cert = hamiltonian_path(5, 3, zero, (4, 0, 0))
     assert cert.verified and cert.length == 124
 
 
 def test_path_for_even_m_examples():
-    cert = path_for_even_m(2, 3, (1, 0, 0))
+    zero = (0, 0, 0)
+    cert = hamiltonian_path(2, 3, zero, (1, 0, 0))
     assert cert.verified and cert.length == 7
-    cert = path_for_even_m(2, 3, (1, 1, 1))
+    cert = hamiltonian_path(2, 3, zero, (1, 1, 1))
     assert cert.verified
-    cert = path_for_even_m(4, 3, (3, 0, 0))
+    cert = hamiltonian_path(4, 3, zero, (3, 0, 0))
     assert cert.verified and cert.length == 63
 
 
 def test_path_builders_validate_inputs():
-    with pytest.raises(ValueError, match="odd"):
-        path_for_odd_m(2, 3, (1, 0, 0))
-    with pytest.raises(ValueError, match="even"):
-        path_for_even_m(3, 3, (2, 0, 0))
-    with pytest.raises(ValueError, match="k >= 3"):
-        path_for_odd_m(3, 2, (2, 0))
-    with pytest.raises(ValueError, match="coordinate sum"):
-        path_for_odd_m(3, 3, (1, 0, 0))
+    with pytest.raises(ValueError, match="cycle length"):
+        hamiltonian_path(1, 3, (0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="not a reduced vertex"):
+        hamiltonian_path(3, 3, (0, 0, 0), (3, 0, 0))
+    with pytest.raises(ValueError, match="not a reduced vertex"):
+        hamiltonian_path(3, 3, (0, 0), (2, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "m, k, u, v",
+    [
+        (3, 3, (1, 1, 1), (0, 1, 1)),  # odd m, non-zero start
+        (2, 4, (1, 0, 0, 0), (1, 1, 0, 0)),  # even m, target difference permuted
+    ],
+    ids=["odd-m", "even-m-transposition"],
+)
+def test_hamiltonian_path_traces_the_certificate_once(monkeypatch, m, k, u, v):
+    calls = []
+
+    def counting(spec, start, target, word):
+        calls.append((start, target))
+        return expect_path(spec, start, target, word)
+
+    monkeypatch.setattr(paths, "expect_path", counting)
+    cert = hamiltonian_path(m, k, u, v)
+    assert cert.verified and (cert.start, cert.target) == (u, v)
+    assert calls == [(u, v)]
 
 
 def test_hamiltonian_path_dispatch_and_translation():

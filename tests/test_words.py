@@ -224,6 +224,14 @@ def test_flat_round_trip():
         word_from_flat(["a"])
 
 
+def test_parsers_share_equal_nodes():
+    # one node per distinct leaf keeps a parsed million-arc certificate small
+    flat = word_from_flat([0, 1] * 1000)
+    assert len({id(p) for p in flat.parts}) == 2
+    text = word_from_text("(x1 x2^2 x1 x2^2)")
+    assert text.parts[0] is text.parts[2] and text.parts[1] is text.parts[3]
+
+
 # 10 is the newline byte and 40, 42 are regex metacharacters
 ARC_BYTES = st.sampled_from([0, 1, 10, 40, 42, 255])
 
