@@ -122,6 +122,12 @@ def _env_cap() -> int | None:
     return cap
 
 
+def _error(exc: Exception) -> int:
+    # a MemoryError usually carries no message
+    print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return 1
+
+
 def _emit_dot(cert: PathCertificate, stream) -> None:
     spec = cert.spec
     path_arcs = set()
@@ -144,9 +150,8 @@ def cmd_construct(args) -> int:
         start = parse_vertex(args.from_, args.k) if args.from_ else (0,) * args.k
         target = parse_vertex(args.to, args.k)
         outcome = hamiltonian_path(args.m, args.k, start, target)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, MemoryError) as exc:
+        return _error(exc)
     if isinstance(outcome, Refusal):
         print(f"refused: {outcome.message}", file=sys.stderr)
         return 2
@@ -171,6 +176,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        if (args.m is None) != (args.k is None):
+            raise ValueError("--m and --k must be given together")
         if args.file:
             with open(args.file, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -196,7 +203,7 @@ def cmd_verify(args) -> int:
                     target_text = ",".join(map(str, _record_ints(payload, "to")))
             else:
                 word = word_from_record(payload)
-        if args.m is not None and args.k is not None:
+        if args.m is not None:
             moduli = (args.m,) * args.k
         if moduli is None:
             raise ValueError("need --m and --k (or a JSON record with moduli)")
@@ -206,10 +213,9 @@ def cmd_verify(args) -> int:
         start = parse_vertex(start_text, spec.k) if start_text else spec.zero()
         target = parse_vertex(target_text, spec.k)
         cert = verify_ham_path(spec, start, target, word)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError, MemoryError) as exc:
         # OSError: an unreadable --file; RecursionError: JSON or word nesting too deep
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     if cert.verified:
         print(json.dumps(certificate_record(cert)))
         return 0
@@ -224,8 +230,7 @@ def cmd_endpoints(args) -> int:
         cap = args.cap if args.cap is not None else _env_cap()
         report = endpoint_set(spec, spec.zero(), cap=cap)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(json.dumps(endpoint_record(report)))
     return 0
 
@@ -247,8 +252,7 @@ def cmd_scan(args) -> int:
             print(json.dumps(record))
             sys.stdout.flush()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     return 0
 
 
@@ -289,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: send the exit-time flush to devnull, not the dead pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

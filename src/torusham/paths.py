@@ -6,8 +6,9 @@ automorphism, so the construction builds a word for w = v - u from 0: the
 subgroup H of zero-sum vertices is generated by the differences x_t - x_1,
 and Cay(H; S - x_1) is isomorphic to the (k-1)-power torus, so a hamiltonian
 cycle c_0, c_1, ... of H with an even distance 2n to w + x_1 can be rolled
-into the full torus.  The rolling pattern is the prism path word over
-a = (1, 0) and b = (1, 1) on Z_m x Z_N with N = m^(k-1):
+into the full torus.  The rolling pattern is the prism path over the steps
+a = (1, 0) and b = (1, 1) on Z_m x Z_N with N = m^(k-1), carried as bytes
+with 0 = a and 1 = b:
 
     ( (a^(m-2) b^2)^n  (a^(m-2) b a)^(N-2n-1)  (a^(m-2) b^2)^n  a^(m-2)  b )
 
@@ -30,13 +31,8 @@ from dataclasses import dataclass
 
 from .torus import TorusSpec, Vertex, identity_perm, transposition
 from .words import (
-    Concat,
     CycleWitness,
     PathCertificate,
-    Power,
-    Symbol,
-    Word,
-    _expand_list,
     _walk,
     cycle_distance,
     expect_path,
@@ -87,8 +83,8 @@ class ArcForcingIso:
         return tuple(h[1:])
 
 
-def prism_path_word(m: int, N: int, n: int) -> Word:
-    """The rolling path word over letters a, b for Z_m x Z_N, 0 <= n < N/2.
+def prism_path_arcs(m: int, N: int, n: int) -> bytes:
+    """The rolling path on Z_m x Z_N as arcs 0 = a and 1 = b, for 0 <= n < N/2.
 
     As a path in the digraph with arc steps a = (1, 0) and b = (1, 1) it has
     length m*N - 1 and runs from 0 to (-1, 2n), visiting every vertex once.
@@ -97,25 +93,21 @@ def prism_path_word(m: int, N: int, n: int) -> Word:
         raise ValueError(f"need m >= 2 and N >= 2, got m={m}, N={N}")
     if not 0 <= n < N / 2:
         raise ValueError(f"n must satisfy 0 <= n < N/2 = {N / 2}, got {n}")
-    a = Symbol("a")
-    b = Symbol("b")
-    turnback = Concat((Power(a, m - 2), Power(b, 2)))
-    return Concat(
-        (
-            Power(turnback, n),
-            Power(Concat((Power(a, m - 2), b, a)), N - 2 * n - 1),
-            Power(turnback, n),
-            Power(a, m - 2),
-            b,
-        )
+    turnback = bytes(m - 2) + b"\1\1"
+    return (
+        turnback * n
+        + (bytes(m - 2) + b"\1\0") * (N - 2 * n - 1)
+        + turnback * n
+        + bytes(m - 2)
+        + b"\1"
     )
 
 
 def _rolled_path(m: int, k: int, inner: CycleWitness, n: int) -> tuple[bytes, Vertex]:
     """Flat arcs and target of the rolled path, without verification.
 
-    Expands prism_path_word and embeds the inner cycle the way product_embed
-    does: each a becomes generator 0, and the i-th b becomes inner arc
+    Embeds the inner cycle into prism_path_arcs the way product_embed does:
+    each a becomes generator 0, and the i-th b becomes inner arc
     i mod len(inner), plus 1.
     """
     iso = ArcForcingIso(m, k)
@@ -123,8 +115,7 @@ def _rolled_path(m: int, k: int, inner: CycleWitness, n: int) -> tuple[bytes, Ve
         raise ValueError(
             f"inner cycle lives on {inner.spec.moduli}, expected {(m,) * (k - 1)}"
         )
-    prism = _expand_list(prism_path_word(m, m ** (k - 1), n))
-    arcs = _embed(bytes(map({"a": 0, "b": 1}.__getitem__, prism)), inner.arcs)
+    arcs = _embed(prism_path_arcs(m, m ** (k - 1), n), inner.arcs)
     _, inner_2n = _walk(iso.inner_spec, inner.base, inner.arcs[: 2 * n])
     c_2n = iso.forward(inner_2n)
     target = iso.outer_spec.subtract(c_2n, (1,) + (0,) * (k - 1))

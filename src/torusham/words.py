@@ -4,8 +4,7 @@ A word is a tree: a single symbol, a concatenation, or a power (w)^e with a
 non-negative integer exponent, so run-length constructions like
 (x1^2 x2)^9 stay small.  Exponent 0 is the empty word and is meaningful (for
 cycle length 2 several building blocks degenerate to it).  Symbol labels are
-either generator indices (ints, rendered x1..xk) or opaque letters such as
-"a" and "b" for words over non-standard arc alphabets.
+generator indices, non-negative ints rendered x1..xk.
 
 Trees are the certificate and text format.  Constructions carry arcs flat,
 as bytes of generator indices (CycleWitness.arcs), and build a certificate
@@ -19,9 +18,8 @@ the verifiers are the one place allowed to be boring and thorough.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 from .torus import TorusSpec, Vertex
 
@@ -32,7 +30,11 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Symbol:
-    label: Union[int, str]
+    label: int
+
+    def __post_init__(self) -> None:
+        if type(self.label) is not int or self.label < 0:
+            raise ValueError(f"label must be a non-negative int, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -63,122 +65,46 @@ def flat_length(w: Word) -> int:
     raise TypeError(f"not a word: {w!r}")
 
 
-def symbol_counts(w: Word) -> Counter:
-    """Multiplicity of each label in the expansion, computed symbolically."""
-    if isinstance(w, Symbol):
-        return Counter({w.label: 1})
-    if isinstance(w, Concat):
-        total: Counter = Counter()
-        for p in w.parts:
-            total.update(symbol_counts(p))
-        return total
-    if isinstance(w, Power):
-        inner = symbol_counts(w.base)
-        return Counter({label: n * w.exponent for label, n in inner.items()})
-    raise TypeError(f"not a word: {w!r}")
+def expand(w: Word) -> list[int]:
+    """Generator indices of the expansion, left to right.
 
-
-def expand(w: Word) -> Iterator[Union[int, str]]:
-    """Stream the labels of the expansion left to right.
-
-    Memory stays proportional to the tree depth, so arbitrarily long
-    run-length words can be walked without materializing them.
+    List repetition keeps Power expansion at C speed.
     """
-    if isinstance(w, Symbol):
-        yield w.label
-    elif isinstance(w, Concat):
-        for p in w.parts:
-            yield from expand(p)
-    elif isinstance(w, Power):
-        for _ in range(w.exponent):
-            yield from expand(w.base)
-    else:
-        raise TypeError(f"not a word: {w!r}")
-
-
-def _expand_list(w: Word) -> list:
-    # hot-path helper: list repetition keeps Power expansion at C speed
     if isinstance(w, Symbol):
         return [w.label]
     if isinstance(w, Concat):
-        out: list = []
+        out: list[int] = []
         for p in w.parts:
-            out.extend(_expand_list(p))
+            out.extend(expand(p))
         return out
     if isinstance(w, Power):
-        return _expand_list(w.base) * w.exponent
+        return expand(w.base) * w.exponent
     raise TypeError(f"not a word: {w!r}")
 
 
-def _generator_arcs(spec: TorusSpec, w: Word | bytes) -> list | bytes:
-    k = spec.k
-    if isinstance(w, bytes):
-        if w and max(w) >= k:
-            raise ValueError(f"arc {max(w)} is not a generator index in [0, {k})")
-        return w
-    arcs = _expand_list(w)
-    for g in arcs:
-        if type(g) is not int or not 0 <= g < k:
-            raise ValueError(f"symbol {g!r} is not a generator index in [0, {k})")
+def _generator_arcs(spec: TorusSpec, w: Word | bytes) -> list[int] | bytes:
+    arcs = w if isinstance(w, bytes) else expand(w)
+    if arcs and max(arcs) >= spec.k:
+        raise ValueError(f"arc {max(arcs)} is not a generator index in [0, {spec.k})")
     return arcs
 
 
-def trace(
-    spec: TorusSpec,
-    start: Vertex,
-    w: Word,
-    steps: Mapping[Union[int, str], Vertex] | None = None,
-) -> Iterator[Vertex]:
+def trace(spec: TorusSpec, start: Vertex, w: Word) -> Iterator[Vertex]:
     """Yield the vertex sequence of the word starting at `start`.
 
     The first yielded vertex is `start`; one more follows per expanded
-    symbol.  With `steps=None` labels must be generator indices; otherwise
-    `steps` maps each label to an arbitrary step vector, which covers words
-    over alphabets like a=(1,0), b=(1,1).
+    symbol, which must be a generator index below spec.k.
     """
     spec.require_vertex(start)
     coords = list(start)
     moduli = spec.moduli
+    k = spec.k
     yield start
-    if steps is None:
-        k = spec.k
-        for g in expand(w):
-            if type(g) is not int or not 0 <= g < k:
-                raise ValueError(f"symbol {g!r} is not a generator index in [0, {k})")
-            coords[g] = (coords[g] + 1) % moduli[g]
-            yield tuple(coords)
-    else:
-        for label in expand(w):
-            try:
-                delta = steps[label]
-            except KeyError:
-                raise ValueError(f"symbol {label!r} has no step vector") from None
-            coords = [(c + d) % m for c, d, m in zip(coords, delta, moduli)]
-            yield tuple(coords)
-
-
-def endpoint(
-    spec: TorusSpec,
-    start: Vertex,
-    w: Word,
-    steps: Mapping[Union[int, str], Vertex] | None = None,
-) -> Vertex:
-    """Final vertex of the trace, computed from symbol counts alone."""
-    spec.require_vertex(start)
-    total = [0] * spec.k
-    for label, n in symbol_counts(w).items():
-        if steps is None:
-            if type(label) is not int or not 0 <= label < spec.k:
-                raise ValueError(f"symbol {label!r} is not a generator index in [0, {spec.k})")
-            total[label] += n
-        else:
-            try:
-                delta = steps[label]
-            except KeyError:
-                raise ValueError(f"symbol {label!r} has no step vector") from None
-            for i, d in enumerate(delta):
-                total[i] += n * d
-    return tuple((s + t) % m for s, t, m in zip(start, total, spec.moduli))
+    for g in expand(w):
+        if g >= k:
+            raise ValueError(f"symbol {g!r} is not a generator index in [0, {k})")
+        coords[g] = (coords[g] + 1) % moduli[g]
+        yield tuple(coords)
 
 
 def _weights(moduli: tuple[int, ...]) -> list[int]:
@@ -364,30 +290,19 @@ def cycle_distance(c: CycleWitness, v: Vertex) -> int:
 
 # --- serialization ----------------------------------------------------------
 #
-# Nested text form, e.g. ((a^1 b^2)^1 (a^1 b a)^6 (a^1 b^2)^1 a^1 b).
-# Generator indices render as x1..xk; other labels are letter tokens.
+# Nested text form, e.g. ((x1^1 x2^2)^1 (x1^1 x2 x1)^6 (x1^1 x2^2)^1 x1^1 x2).
+# Generator indices render as x1..xk; any other letter token is an error.
 # The flat JSON form is just a list of generator indices.  Both forms
 # round-trip through the Word tree exactly.
 
 _TOKEN_RE = re.compile(r"\(|\)|\^|\d+|[A-Za-z][A-Za-z0-9]*")
-_GEN_RE = re.compile(r"x([0-9]+)\Z")
-_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-
-
-def _label_to_text(label) -> str:
-    if type(label) is int:
-        if label < 0:
-            raise ValueError(f"generator index {label} is negative")
-        return f"x{label + 1}"
-    if isinstance(label, str) and _LABEL_RE.match(label) and not _GEN_RE.match(label):
-        return label
-    raise ValueError(f"label {label!r} has no unambiguous text form")
+_GEN_RE = re.compile(r"x[0-9]+\Z")
 
 
 def word_to_text(w: Word) -> str:
     def item(node: Word) -> str:
         if isinstance(node, Symbol):
-            return _label_to_text(node.label)
+            return f"x{node.label + 1}"
         if isinstance(node, Concat):
             return "(" + " ".join(item(p) for p in node.parts) + ")"
         if isinstance(node, Power):
@@ -421,19 +336,14 @@ def word_from_text(text: str) -> Word:
                 raise ValueError("unbalanced parenthesis in word text")
             pos += 1
             node: Word = Concat(tuple(parts))
-        elif tok is not None and tok not in (")", "^") and not tok.isdigit():
+        elif tok is not None and _GEN_RE.match(tok):
             pos += 1
             node = symbols.get(tok)
             if node is None:
-                gen = _GEN_RE.match(tok)
-                if gen:
-                    index = int(gen.group(1))
-                    if index < 1:
-                        raise ValueError(f"generator token {tok!r} must be x1 or higher")
-                    node = Symbol(index - 1)
-                else:
-                    node = Symbol(tok)
-                symbols[tok] = node
+                index = int(tok[1:])
+                if index < 1:
+                    raise ValueError(f"generator token {tok!r} must be x1 or higher")
+                node = symbols[tok] = Symbol(index - 1)
         else:
             raise ValueError(f"unexpected token {tok!r} in word text")
         while peek() == "^":
@@ -459,14 +369,6 @@ def word_from_text(text: str) -> Word:
     if len(items) == 1:
         return items[0]
     return Concat(tuple(items))
-
-
-def word_to_flat(w: Word) -> list[int]:
-    arcs = _expand_list(w)
-    for g in arcs:
-        if type(g) is not int:
-            raise ValueError(f"label {g!r} is not a generator index; flat form needs ints")
-    return arcs
 
 
 def word_from_flat(arcs: Iterable[int]) -> Concat:

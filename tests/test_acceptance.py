@@ -15,7 +15,6 @@ from torusham import (
     classify_case,
     conjugate_cycle,
     cycle_distance,
-    endpoint,
     endpoint_set,
     enumerate_torus_specs,
     even_distance_cycle_2d,
@@ -25,16 +24,12 @@ from torusham import (
     ham_cycle_exists_2d,
     ham_cycle_witness,
     hamiltonian_path,
-    prism_path_word,
-    symbol_counts,
+    prism_path_arcs,
     trace,
     Concat,
     Power,
     Symbol,
 )
-
-AB_STEPS = {"a": (1, 0), "b": (1, 1)}
-
 
 def _verdict(name, ok, detail=""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}" + (f" | {detail}" if detail else ""))
@@ -226,27 +221,25 @@ def test_criterion_8_word_algebra_bulk_properties():
     start = (1, 0, 1)
     for _ in range(10_000):
         w = _random_word(rng)
-        flat = list(expand(w))
+        flat = expand(w)
         assert flat_length(w) == len(flat)
         last = start
         for last in trace(spec, start, w):
             pass
-        assert endpoint(spec, start, w) == last
+        counts = [flat.count(g) for g in range(spec.k)]
+        assert last == tuple((c + n) % m for c, n, m in zip(start, counts, spec.moduli))
     checked = 0
     for m in range(2, 10):
         for N in range(2, 82):
-            two_torus = TorusSpec((m, N))
             for n in range((N + 1) // 2):
-                w = prism_path_word(m, N, n)
-                assert flat_length(w) == m * N - 1
-                assert symbol_counts(w)["b"] == N + 2 * n
-                assert endpoint(two_torus, (0, 0), w, steps=AB_STEPS) == (
-                    (m - 1) % m,
-                    (2 * n) % N,
-                )
+                # a = 0 and b = 1 both advance x; only b advances y
+                arcs = prism_path_arcs(m, N, n)
+                assert len(arcs) == m * N - 1
+                assert arcs.count(1) == N + 2 * n
+                assert (len(arcs) % m, arcs.count(1) % N) == ((m - 1) % m, (2 * n) % N)
                 checked += 1
     assert _verdict(
         "8 word-algebra bulk properties",
         True,
-        f"10000 random trees, {checked} prism words",
+        f"10000 random trees, {checked} prism paths",
     )

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import torusham
-from torusham import TorusSpec, hamiltonian_path, verify_ham_path
+from torusham import TorusSpec, cli, hamiltonian_path, verify_ham_path
 from torusham.cli import certificate_record, word_from_record
 
 BASE = [sys.executable, "-m", "torusham"]
@@ -14,14 +15,18 @@ BASE = [sys.executable, "-m", "torusham"]
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(torusham.__file__))
 
 
-def run(*args, stdin=None, env_extra=None):
+def child_env(env_extra=None):
     env = dict(os.environ)
     env.pop("TORUS_HAM_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run(*args, stdin=None, env_extra=None):
     return subprocess.run(
-        BASE + list(args), input=stdin, capture_output=True, text=True, env=env
+        BASE + list(args), input=stdin, capture_output=True, text=True, env=child_env(env_extra)
     )
 
 
@@ -74,6 +79,20 @@ def test_construct_vertices_format():
     assert len(set(lines)) == 8
 
 
+def test_construct_into_closed_pipe_exits_1_without_traceback():
+    # like `construct ... --format vertices | head -1`: 19683 lines overflow the pipe buffer
+    args = ["construct", "--m", "3", "--k", "9", "--to", "2,0,0,0,0,0,0,0,0", "--format", "vertices"]
+    child = subprocess.Popen(
+        BASE + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env()
+    )
+    assert child.stdout.readline() == "0,0,0,0,0,0,0,0,0\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 def test_construct_dot_format():
     built = run("construct", "--m", "2", "--k", "3", "--to", "1,0,0", "--format", "dot")
     assert built.returncode == 0
@@ -116,6 +135,9 @@ def test_verify_flat_json_word():
 
 MISSING_FILE = os.path.join(os.path.dirname(__file__), "no-such-word.txt")
 CUBE_WORD = "(x1 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3)"
+CUBE_RECORD = json.dumps(
+    {"moduli": [3, 3, 3], "from": [0, 0, 0], "to": [2, 0, 0], "word": {"nested": CUBE_WORD}}
+)
 
 
 @pytest.mark.parametrize(
@@ -133,10 +155,14 @@ CUBE_WORD = "(x1 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[" * 100000 + "]" * 100000),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", MISSING_FILE], ""),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", os.curdir], ""),
+        # CUBE_RECORD verifies on its own, so only the lone --m or --k can fail these
+        (["--m", "5", "--to", "2,0,0"], CUBE_RECORD),
+        (["--k", "4"], CUBE_RECORD),
     ],
     ids=[
         "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float",
         "deep-parentheses", "deep-powers", "deep-json-array", "missing-file", "directory-file",
+        "lone-m", "lone-k",
     ],
 )
 def test_verify_bad_input_is_one_error_line(flags, stdin):
@@ -144,6 +170,21 @@ def test_verify_bad_input_is_one_error_line(flags, stdin):
     assert checked.returncode == 1
     assert checked.stderr.startswith("error: ")
     assert len(checked.stderr.splitlines()) == 1
+
+
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "hamiltonian_path", out_of_memory)
+    monkeypatch.setattr(cli, "verify_ham_path", out_of_memory)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x1^26"))
+    for argv in (["construct", "--m", "3", "--k", "3", "--to", "2,0,0"],
+                 ["verify", "--m", "3", "--k", "3", "--to", "2,0,0"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_verify_without_spec_is_an_error():

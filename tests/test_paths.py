@@ -11,14 +11,10 @@ from torusham import (
     Refusal,
     Symbol,
     TorusSpec,
-    endpoint,
-    flat_length,
     hamiltonian_path,
     path_from_inner_cycle,
-    prism_path_word,
+    prism_path_arcs,
     staircase_a,
-    symbol_counts,
-    trace,
     verify_ham_path,
     verify_ham_cycle,
     CycleWitness,
@@ -26,58 +22,69 @@ from torusham import (
 from torusham import paths
 from torusham.words import expect_path
 
-AB_STEPS = {"a": (1, 0), "b": (1, 1)}
+
+def _prism_walk(m, N, arcs):
+    """Vertices of the prism path on Z_m x Z_N: both steps advance x, b = 1 also advances y."""
+    assert set(arcs) <= {0, 1}
+    x = y = 0
+    vs = [(0, 0)]
+    for b in arcs:
+        x, y = (x + 1) % m, (y + b) % N
+        vs.append((x, y))
+    return vs
 
 
-def _ab_is_ham_path(m, N, word, target):
-    spec = TorusSpec((m, N))
-    vs = list(trace(spec, (0, 0), word, steps=AB_STEPS))
+def _ab_is_ham_path(m, N, arcs, target):
+    vs = _prism_walk(m, N, arcs)
     return len(vs) == m * N and len(set(vs)) == m * N and vs[-1] == target
 
 
+def test_prism_arcs_pinned_bytes():
+    assert prism_path_arcs(3, 9, 1) == bytes([0, 1, 1] + [0, 1, 0] * 6 + [0, 1, 1] + [0, 1])
+
+
 def test_prism_word_main_example():
-    w = prism_path_word(3, 9, 1)
-    assert flat_length(w) == 26
-    assert endpoint(TorusSpec((3, 9)), (0, 0), w, steps=AB_STEPS) == (2, 2)
-    assert _ab_is_ham_path(3, 9, w, (2, 2))
+    arcs = prism_path_arcs(3, 9, 1)
+    assert len(arcs) == 26
+    assert _prism_walk(3, 9, arcs)[-1] == (2, 2)
+    assert _ab_is_ham_path(3, 9, arcs, (2, 2))
 
 
 def test_prism_word_length_two_cycle():
-    w = prism_path_word(2, 4, 0)
-    assert flat_length(w) == 7
-    assert _ab_is_ham_path(2, 4, w, (1, 0))
+    arcs = prism_path_arcs(2, 4, 0)
+    assert len(arcs) == 7
+    assert _ab_is_ham_path(2, 4, arcs, (1, 0))
 
 
 def test_prism_word_collapsed_blocks():
-    w = prism_path_word(3, 9, 0)
-    assert endpoint(TorusSpec((3, 9)), (0, 0), w, steps=AB_STEPS) == (2, 0)
+    assert _prism_walk(3, 9, prism_path_arcs(3, 9, 0))[-1] == (2, 0)
 
 
 def test_prism_word_range_check():
     with pytest.raises(ValueError, match="n must"):
-        prism_path_word(3, 9, 5)
+        prism_path_arcs(3, 9, 5)
     with pytest.raises(ValueError, match="n must"):
-        prism_path_word(3, 9, -1)
+        prism_path_arcs(3, 9, -1)
+    with pytest.raises(ValueError, match="N >= 2"):
+        prism_path_arcs(1, 9, 0)
 
 
 def test_prism_word_is_ham_path_small_sweep():
     for m, N in [(2, 2), (2, 4), (3, 3), (3, 9), (4, 4), (5, 5)]:
         for n in range((N + 1) // 2):
-            w = prism_path_word(m, N, n)
-            assert flat_length(w) == m * N - 1
-            assert _ab_is_ham_path(m, N, w, ((-1) % m, (2 * n) % N))
+            arcs = prism_path_arcs(m, N, n)
+            assert len(arcs) == m * N - 1
+            assert _ab_is_ham_path(m, N, arcs, ((-1) % m, (2 * n) % N))
 
 
 def test_prism_symbolic_identities():
     for m in range(2, 10):
         for N in (2, 3, 8, 81):
-            spec = TorusSpec((m, N))
             for n in range((N + 1) // 2):
-                w = prism_path_word(m, N, n)
-                counts = symbol_counts(w)
-                assert counts["b"] == N + 2 * n
-                assert flat_length(w) == m * N - 1
-                assert endpoint(spec, (0, 0), w, steps=AB_STEPS) == ((-1) % m, (2 * n) % N)
+                arcs = prism_path_arcs(m, N, n)
+                assert arcs.count(1) == N + 2 * n
+                assert len(arcs) == m * N - 1
+                assert _prism_walk(m, N, arcs)[-1] == ((-1) % m, (2 * n) % N)
 
 
 def test_iso_round_trip_and_generators():
