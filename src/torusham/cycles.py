@@ -17,23 +17,29 @@ gives an even distance in each of three target classes:
     (3) j even and nonzero   -> reduces to (1) or (2)
 
 Higher powers (Z_m)^n are handled by induction: roll a hamiltonian cycle of
-(Z_m)^(n-1) into the fibers of Z_m x Z_{m^(n-1)} (product_embed), and pick
-the 2-dimensional cycle through class (3), since the inner distance is even
-and nonzero by induction.
+(Z_m)^(n-1) into the fibers of Z_m x Z_{m^(n-1)}, and pick the
+2-dimensional cycle through class (3), since the inner distance is even and
+nonzero by induction.  The staircase vertex (i, j) becomes i*e_0 + c_j,
+where c_j is the j-th inner vertex, so the staircase distance to
+(v_0, inner distance) is the distance to v.
 
-Cycles are carried as flat bytes of generator indices (CycleWitness.arcs);
-word trees appear only in the certificates that the paths module builds.
+On arcs the roll is a morphism.  With g+1 the inner arc g moved up one
+coordinate, staircase_a sends g to 0^(m-1) (g+1) and staircase_b sends it
+to (g+1) 0^(m-1); _lift applies either one as a single slice assignment, and
+the staircases themselves are the lifts of the m-cycle bytes(n).
+
+Cycles are flat bytes of generator indices (Cycle.arcs).  The builders here
+return them unchecked: the tests trace every builder, and the paths module
+traces every certificate it builds from them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import cycle
 
 from .torus import TorusSpec, Perm, Vertex, identity_perm, invert_perm, transposition
-from .words import CycleWitness, cycle_distance, expect_cycle
+from .words import Cycle
 
 
 class Case(enum.Enum):
@@ -54,6 +60,21 @@ class CaseNotApplicableError(ValueError):
     """No staircase case covers the target; the caller must transform it."""
 
 
+# bytes.translate table sending generator g to g + 1
+_SHIFT = bytes(range(1, 256)) + b"\0"
+
+
+def _lift(inner: bytes, m: int, at: int) -> bytes:
+    """Roll inner arcs through a staircase: arc g becomes m arcs, g+1 at `at`.
+
+    at = m-1 is staircase_a's morphism 0^(m-1) (g+1); at = 0 is
+    staircase_b's (g+1) 0^(m-1).
+    """
+    out = bytearray(m * len(inner))
+    out[at::m] = inner.translate(_SHIFT)
+    return bytes(out)
+
+
 def _staircase_spec(m: int, n: int) -> TorusSpec:
     if m < 2 or n < 2:
         raise ValueError(f"staircase needs m, n >= 2, got m={m}, n={n}")
@@ -62,16 +83,14 @@ def _staircase_spec(m: int, n: int) -> TorusSpec:
     return TorusSpec((m, n))
 
 
-@lru_cache(maxsize=None)
-def staircase_a(m: int, n: int) -> CycleWitness:
-    """Verified hamiltonian cycle (x1^(m-1) x2)^n on Z_m x Z_n, m | n."""
-    return expect_cycle(_staircase_spec(m, n), (bytes(m - 1) + b"\1") * n)
+def staircase_a(m: int, n: int) -> Cycle:
+    """Hamiltonian cycle (x1^(m-1) x2)^n on Z_m x Z_n, m | n."""
+    return Cycle(_staircase_spec(m, n), _lift(bytes(n), m, m - 1))
 
 
-@lru_cache(maxsize=None)
-def staircase_b(m: int, n: int) -> CycleWitness:
-    """Verified hamiltonian cycle (x2 x1^(m-1))^n on Z_m x Z_n, m | n."""
-    return expect_cycle(_staircase_spec(m, n), (b"\1" + bytes(m - 1)) * n)
+def staircase_b(m: int, n: int) -> Cycle:
+    """Hamiltonian cycle (x2 x1^(m-1))^n on Z_m x Z_n, m | n."""
+    return Cycle(_staircase_spec(m, n), _lift(bytes(n), m, 0))
 
 
 def classify_case(m: int, n: int, v: Vertex) -> CaseInfo:
@@ -95,22 +114,15 @@ def classify_case(m: int, n: int, v: Vertex) -> CaseInfo:
     return CaseInfo(Case.NONE, r)
 
 
-def even_distance_cycle_2d(m: int, n: int, v: Vertex) -> tuple[CycleWitness, int]:
-    """Staircase cycle on Z_m x Z_n with an even distance from 0 to v.
-
-    Case (1) uses staircase_a with distance j*m + r; case (2) uses
-    staircase_b with distance (j-1)*m + 1 + (r-1).  The returned distance is
-    revalidated against the actual cycle trace.
-    """
+def _staircase_case(m: int, n: int, v: Vertex) -> tuple[int, int]:
+    """(lift offset, even distance) of the staircase that case (1) or (2) picks."""
     info = classify_case(m, n, v)
-    i, j = v
+    j = v[1]
     r = info.r
     if info.tag is Case.J_PLUS_R_EVEN:
-        witness = staircase_a(m, n)
-        dist = j * m + r
+        at, dist = m - 1, j * m + r
     elif info.tag is Case.J_AND_R_NONZERO:
-        witness = staircase_b(m, n)
-        dist = (j - 1) * m + 1 + (r - 1)
+        at, dist = 0, (j - 1) * m + 1 + (r - 1)
     else:
         raise CaseNotApplicableError(
             f"no staircase case applies to target {v} on Z_{m} x Z_{n} "
@@ -118,36 +130,17 @@ def even_distance_cycle_2d(m: int, n: int, v: Vertex) -> tuple[CycleWitness, int
         )
     if dist % 2 != 0 or not 0 <= dist < m * n:
         raise AssertionError(f"distance formula out of range: {dist} for {v}")
-    if cycle_distance(witness, v) != dist:
-        raise AssertionError(f"distance formula disagrees with trace for {v} on Z_{m} x Z_{n}")
-    return witness, dist
+    return at, dist
 
 
-def _embed(outer: bytes, inner: bytes) -> bytes:
-    """Roll a cursor along the inner arcs while copying outer 0/1 arcs.
+def even_distance_cycle_2d(m: int, n: int, v: Vertex) -> tuple[Cycle, int]:
+    """Staircase cycle on Z_m x Z_n with an even distance from 0 to v.
 
-    Each 0 (plain) arc stays generator 0; the i-th 1 (consume) arc becomes
-    inner arc i mod len(inner), plus 1.
+    Case (1) uses staircase_a with distance j*m + r; case (2) uses
+    staircase_b with distance (j-1)*m + 1 + (r-1).
     """
-    if outer.translate(None, b"\0\1"):
-        raise ValueError("outer arcs must be 0 (plain) or 1 (consume)")
-    cursor = cycle(inner)
-    return bytes(next(cursor) + 1 if a else 0 for a in outer)
-
-
-def product_embed(m: int, inner: CycleWitness, outer: bytes) -> bytes:
-    """Lift flat arcs on Z_m x Z_{m^(n-1)} through a cycle of (Z_m)^(n-1).
-
-    The embedding sends (i, j) to i*e_0 + c_j, where c_j is the j-th vertex
-    of the inner cycle placed on coordinates 1..n-1.  Generator 0 of the
-    2-torus maps to generator 0 of (Z_m)^n; generator 1 maps, at each use,
-    to the inner cycle's next arc shifted up one coordinate.
-    """
-    if not isinstance(inner, CycleWitness):
-        raise ValueError("inner cycle must be a verified CycleWitness")
-    if not (inner.spec.is_equal_power and inner.spec.moduli[0] == m):
-        raise ValueError(f"inner cycle must live on a power of Z_{m}, got {inner.spec.moduli}")
-    return _embed(outer, inner.arcs)
+    at, dist = _staircase_case(m, n, v)
+    return Cycle(_staircase_spec(m, n), _lift(bytes(n), m, at)), dist
 
 
 def _arc_table(perm: Perm) -> bytes:
@@ -155,25 +148,22 @@ def _arc_table(perm: Perm) -> bytes:
     return bytes(perm) + bytes(range(len(perm), 256))
 
 
-def conjugate_cycle(witness: CycleWitness, perm: Perm) -> CycleWitness:
+def conjugate_cycle(cycle: Cycle, perm: Perm) -> Cycle:
     """Carry a cycle through the inverse coordinate permutation.
 
-    The result satisfies  distance(result, v) == distance(witness, perm(v))
-    for every vertex v, so a witness built for a permuted target turns into
+    The result satisfies  distance(result, v) == distance(cycle, perm(v))
+    for every vertex v, so a cycle built for a permuted target turns into
     one for the original target.
     """
-    spec = witness.spec
-    perm = spec.require_perm(perm)
-    if perm == identity_perm(spec.k):
-        return witness
-    return expect_cycle(spec, witness.arcs.translate(_arc_table(invert_perm(perm))))
+    perm = cycle.spec.require_perm(perm)
+    return Cycle(cycle.spec, cycle.arcs.translate(_arc_table(invert_perm(perm))))
 
 
-def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[CycleWitness, int, Perm]:
+def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int, Perm]:
     """Hamiltonian cycle on (Z_m)^n with even distance to v, for odd m >= 3.
 
-    Returns (witness, distance, perm) where the witness has the stated even
-    distance from 0 to permute_coords(v, perm); conjugate_cycle(witness,
+    Returns (cycle, distance, perm) where the cycle has the stated even
+    distance from 0 to permute_coords(v, perm); conjugate_cycle(cycle,
     perm) is then a cycle with that distance to v itself.
 
     Dimension 2 tries case (1) on (i, j), then on the swapped target (j, i),
@@ -181,8 +171,8 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[CycleWitness, 
     dimensions move a nonzero coordinate last (the largest such index),
     recurse on the tail, and route through case (3): the recursive distance
     is even and nonzero, so a staircase on Z_m x Z_{m^(n-1)} with even
-    distance to (v_0, inner distance) exists and is rolled up with
-    product_embed.
+    distance to (v_0, inner distance) exists, and the inner cycle is lifted
+    through it.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"even-distance cycles need odd m >= 3, got {m}")
@@ -195,18 +185,18 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[CycleWitness, 
         i, j = v
         r = (i + j) % m
         if (j + r) % 2 == 0:
-            witness, dist = even_distance_cycle_2d(m, m, (i, j))
-            return witness, dist, identity_perm(2)
+            cycle, dist = even_distance_cycle_2d(m, m, (i, j))
+            return cycle, dist, identity_perm(2)
         if (i + r) % 2 == 0:
-            witness, dist = even_distance_cycle_2d(m, m, (j, i))
-            return witness, dist, transposition(2, 0, 1)
+            cycle, dist = even_distance_cycle_2d(m, m, (j, i))
+            return cycle, dist, transposition(2, 0, 1)
         if v == (0, 0):
             return staircase_a(m, m), 0, identity_perm(2)
         if j != 0:
-            witness, dist = even_distance_cycle_2d(m, m, (i, j))
-            return witness, dist, identity_perm(2)
-        witness, dist = even_distance_cycle_2d(m, m, (j, i))
-        return witness, dist, transposition(2, 0, 1)
+            cycle, dist = even_distance_cycle_2d(m, m, (i, j))
+            return cycle, dist, identity_perm(2)
+        cycle, dist = even_distance_cycle_2d(m, m, (j, i))
+        return cycle, dist, transposition(2, 0, 1)
 
     if all(c == 0 for c in v):
         return any_cycle_power(m, n), 0, identity_perm(n)
@@ -214,31 +204,37 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[CycleWitness, 
     last = max(idx for idx, c in enumerate(v) if c != 0)
     perm = identity_perm(n) if last == n - 1 else transposition(n, last, n - 1)
     u = spec.permute_coords(v, perm)
-    tail = u[1:]
-    inner_raw, inner_dist, inner_perm = even_distance_cycle_power(m, n - 1, tail)
+    inner_raw, inner_dist, inner_perm = even_distance_cycle_power(m, n - 1, u[1:])
     inner = conjugate_cycle(inner_raw, inner_perm)
     if inner_dist % 2 != 0 or inner_dist == 0:
-        raise AssertionError(f"inner distance {inner_dist} is not even and nonzero for {tail}")
-    outer, dist = even_distance_cycle_2d(m, m ** (n - 1), (u[0], inner_dist))
-    witness = expect_cycle(spec, product_embed(m, inner, outer.arcs))
-    if cycle_distance(witness, u) != dist:
-        raise AssertionError(f"embedded distance disagrees with trace for {v} on (Z_{m})^{n}")
-    return witness, dist, perm
+        raise AssertionError(f"inner distance {inner_dist} is not even and nonzero for {u[1:]}")
+    at, dist = _staircase_case(m, m ** (n - 1), (u[0], inner_dist))
+    return Cycle(spec, _lift(inner.arcs, m, at)), dist, perm
 
 
-@lru_cache(maxsize=None)
-def any_cycle_power(m: int, n: int) -> CycleWitness:
-    """Some verified hamiltonian cycle on (Z_m)^n, any m >= 2.
+def any_cycle_power(m: int, n: int) -> Cycle:
+    """Some hamiltonian cycle on (Z_m)^n, any m >= 2.
 
-    Staircases are hamiltonian for every m with m | n, so the same
-    staircase-plus-embedding recursion works without parity targeting.
+    It is staircase_a's morphism applied n-1 times to the m-cycle bytes(m):
+    staircases are hamiltonian for every m with m | n, so no parity
+    targeting is needed.  _any_cycle_distance gives its distances.
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    if n == 1:
-        return expect_cycle(TorusSpec.power(m, 1), bytes(m))
-    if n == 2:
-        return staircase_a(m, m)
-    inner = any_cycle_power(m, n - 1)
-    arcs = product_embed(m, inner, staircase_a(m, m ** (n - 1)).arcs)
-    return expect_cycle(TorusSpec.power(m, n), arcs)
+    spec = TorusSpec.power(m, n)
+    arcs = bytes(m)
+    for _ in range(n - 1):
+        arcs = _lift(arcs, m, m - 1)
+    return Cycle(spec, arcs)
+
+
+def _any_cycle_distance(m: int, v: Vertex) -> int:
+    """Distance from 0 to v along any_cycle_power(m, len(v)), in closed form.
+
+    Level by level this is staircase_a's j*m + r with j the inner distance:
+    d(v) = d(v[1:]) * m + (v[0] + d(v[1:])) % m, and d((x,)) = x.
+    """
+    d = 0
+    for x in reversed(v):
+        d = d * m + (x + d) % m
+    return d

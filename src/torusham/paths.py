@@ -14,15 +14,17 @@ with 0 = a and 1 = b:
 
 a hamiltonian path from 0 to (-1, 2n) of length m*N - 1.  Substituting
 a -> x_1 and the i-th b -> x_1 + (c_{i+1} - c_i) lands the rolled path at
-c_{2n} - x_1 = w.
+c_{2n} - x_1 = w.  The b arcs sit at fixed offsets of each m-arc block, so
+the substitution is a few slice assignments of the shifted inner arcs.
 
 The parity of m only picks the inner cycle.  For odd m the parity-targeted
 cycles come from the cycles module.  For even m any hamiltonian cycle of H
 works: arcs of Cay(H; S - x_1) lower the first coordinate by one, so
 first-coordinate parity bipartitions H and forces the distance to w + x_1
 even once a transposition tau moves an odd coordinate of w to the front
-(the rolled arcs are relabelled back by tau).  Either way the certificate
-is traced once, from u to v.
+(the rolled arcs are relabelled back by tau); its distance has a closed
+form.  Either way the inner cycle is not traced: walking its first 2n arcs
+checks the distance, and the certificate is traced once, from u to v.
 """
 
 from __future__ import annotations
@@ -30,17 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .torus import TorusSpec, Vertex, identity_perm, transposition
-from .words import (
-    CycleWitness,
-    PathCertificate,
-    _walk,
-    cycle_distance,
-    expect_path,
-    word_from_runs,
-)
+from .words import Cycle, PathCertificate, _walk, expect_path, word_from_runs
 from .cycles import (
+    _SHIFT,
+    _any_cycle_distance,
     _arc_table,
-    _embed,
     any_cycle_power,
     conjugate_cycle,
     even_distance_cycle_power,
@@ -103,30 +99,43 @@ def prism_path_arcs(m: int, N: int, n: int) -> bytes:
     )
 
 
-def _rolled_path(m: int, k: int, inner: CycleWitness, n: int) -> tuple[bytes, Vertex]:
+def _rolled_path(m: int, k: int, inner: Cycle, n: int) -> tuple[bytes, Vertex]:
     """Flat arcs and target of the rolled path, without verification.
 
-    Embeds the inner cycle into prism_path_arcs the way product_embed does:
-    each a becomes generator 0, and the i-th b becomes inner arc
-    i mod len(inner), plus 1.
+    Substitutes the inner cycle into prism_path_arcs: each a becomes
+    generator 0, and the i-th b becomes inner arc i mod N, plus 1.  The b
+    arcs sit at offsets m-2 and m-1 of the n turnback blocks at either end,
+    at offset m-2 of the blocks between them, and last.
     """
     iso = ArcForcingIso(m, k)
     if inner.spec != iso.inner_spec:
         raise ValueError(
             f"inner cycle lives on {inner.spec.moduli}, expected {(m,) * (k - 1)}"
         )
-    arcs = _embed(prism_path_arcs(m, m ** (k - 1), n), inner.arcs)
+    N = len(inner.arcs)
+    if not 0 <= n < N / 2:
+        raise ValueError(f"n must satisfy 0 <= n < N/2 = {N / 2}, got {n}")
+    shifted = inner.arcs.translate(_SHIFT)
+    seq = shifted + shifted[: 2 * n]
+    out = bytearray(m * N - 1)
+    base = (N - n - 1) * m
+    out[m - 2 : n * m : m] = seq[0 : 2 * n : 2]
+    out[m - 1 : n * m : m] = seq[1 : 2 * n : 2]
+    out[n * m + m - 2 : base : m] = seq[2 * n : N - 1]
+    out[base + m - 2 : base + n * m : m] = seq[N - 1 : N - 1 + 2 * n : 2]
+    out[base + m - 1 : base + n * m : m] = seq[N : N - 1 + 2 * n : 2]
+    out[-1] = seq[N - 1 + 2 * n]
     _, inner_2n = _walk(iso.inner_spec, inner.base, inner.arcs[: 2 * n])
     c_2n = iso.forward(inner_2n)
     target = iso.outer_spec.subtract(c_2n, (1,) + (0,) * (k - 1))
-    return arcs, target
+    return bytes(out), target
 
 
-def path_from_inner_cycle(m: int, k: int, inner: CycleWitness, n: int) -> PathCertificate:
+def path_from_inner_cycle(m: int, k: int, inner: Cycle, n: int) -> PathCertificate:
     """Certified path from 0 to c_{2n} - x_1, rolling the given subgroup cycle.
 
-    `inner` is a verified hamiltonian cycle of (Z_m)^(k-1), standing for a
-    cycle c_0, c_1, ... of the zero-sum subgroup through the arc-forcing
+    `inner` is a hamiltonian cycle of (Z_m)^(k-1), standing for a cycle
+    c_0, c_1, ... of the zero-sum subgroup through the arc-forcing
     isomorphism.  Aborts rather than return an unverified certificate.
     """
     arcs, target = _rolled_path(m, k, inner, n)
@@ -164,9 +173,10 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
 
     Outcomes are a trichotomy: a verified PathCertificate, a Refusal when
     the endpoint congruence sum(v - u) = -1 (mod m) fails (in which case no
-    path exists), or an exception for unusable inputs.  k = 2 is rejected:
-    for odd m only about half the admissible endpoints are reachable there,
-    so no uniform construction exists; use the search oracle instead.
+    path exists), or an exception for unusable inputs.  k = 2 is not built
+    yet and is rejected: the paper's converse holds there for even m, while
+    for odd m only about half the admissible endpoints are reachable; use
+    the search oracle for k = 2.
 
     The parity of m picks the inner cycle, its distance and the permutation;
     one shared tail rolls, relabels and trace-checks the word at (u, v).
@@ -196,7 +206,7 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
         tau = transposition(k, 0, next(i for i, c in enumerate(diff) if c % 2 == 1))
         w = spec.permute_coords(diff, tau)
         inner = any_cycle_power(m, k - 1)
-        dist = cycle_distance(inner, w[1:])
+        dist = _any_cycle_distance(m, w[1:])
     if dist % 2 != 0:
         raise AssertionError(f"cycle distance {dist} to {w[1:]} is odd")
     arcs, target = _rolled_path(m, k, inner, dist // 2)

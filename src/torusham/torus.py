@@ -80,7 +80,7 @@ class TorusSpec:
         return (
             isinstance(v, tuple)
             and len(v) == self.k
-            and all(isinstance(c, int) and 0 <= c < m for c, m in zip(v, self.moduli))
+            and all(type(c) is int and 0 <= c < m for c, m in zip(v, self.moduli))
         )
 
     def require_vertex(self, v) -> Vertex:

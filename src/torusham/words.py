@@ -7,12 +7,14 @@ cycle length 2 several building blocks degenerate to it).  Symbol labels are
 generator indices, non-negative ints rendered x1..xk.
 
 Trees are the certificate and text format.  Constructions carry arcs flat,
-as bytes of generator indices (CycleWitness.arcs), and build a certificate
-tree once with word_from_runs.
+as bytes of generator indices (Cycle.arcs), and build a certificate tree
+once with word_from_runs.
 
 Verification is exact: a visited set sized to the vertex count, no
-probabilistic shortcuts.  Certificates are the product of this library, so
-the verifiers are the one place allowed to be boring and thorough.
+probabilistic shortcuts.  The construction does not trace its intermediate
+cycles; expect_path traces each certificate once before it leaves the
+library, so the verifiers are the one place allowed to be boring and
+thorough.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Power:
     exponent: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+        if type(self.exponent) is not int or self.exponent < 0:
             raise ValueError(f"exponent must be a non-negative int, got {self.exponent!r}")
 
 
@@ -172,12 +174,11 @@ class PathCertificate:
 
 
 @dataclass(frozen=True)
-class CycleWitness:
-    """A based hamiltonian cycle: full trace from 0 back to 0.
+class Cycle:
+    """A cycle claim based at 0, flat: one generator index per byte of `arcs`.
 
-    `arcs` holds the cycle flat, one generator index per byte.  Only
-    `verify_ham_cycle` (or its strict wrapper) should build these, so
-    holding one means the trace check has already passed.
+    The builders in the cycles module return these unchecked; only
+    `verify_ham_cycle` certifies that one is hamiltonian.
     """
 
     spec: TorusSpec
@@ -235,7 +236,7 @@ def verify_ham_path(spec: TorusSpec, start: Vertex, target: Vertex, w: Word) -> 
     return PathCertificate(spec, start, target, w, True)
 
 
-def verify_ham_cycle(spec: TorusSpec, w: Word | bytes) -> CycleWitness | CycleRejection:
+def verify_ham_cycle(spec: TorusSpec, w: Word | bytes) -> Cycle | CycleRejection:
     """Check that a word tree or flat arcs trace a hamiltonian cycle based at 0.
 
     Accepts exactly the words of length vertex_count whose trace visits
@@ -254,18 +255,7 @@ def verify_ham_cycle(spec: TorusSpec, w: Word | bytes) -> CycleWitness | CycleRe
         return CycleRejection(spec, w, "revisits a vertex early", hit, stop)
     if stop != zero:
         return CycleRejection(spec, w, "does not close at 0", hit, stop)
-    return CycleWitness(spec, arcs)
-
-
-def expect_cycle(spec: TorusSpec, w: Word | bytes) -> CycleWitness:
-    """Verify or abort; for constructions that must never emit unverified."""
-    got = verify_ham_cycle(spec, w)
-    if isinstance(got, CycleRejection):
-        raise ConstructionError(
-            f"internal cycle construction failed on {spec.moduli}: {got.reason}"
-            + (f" at position {got.position}" if got.position is not None else "")
-        )
-    return got
+    return Cycle(spec, arcs)
 
 
 def expect_path(spec: TorusSpec, start: Vertex, target: Vertex, w: Word) -> PathCertificate:
@@ -277,13 +267,13 @@ def expect_path(spec: TorusSpec, start: Vertex, target: Vertex, w: Word) -> Path
     return cert
 
 
-def cycle_distance(c: CycleWitness, v: Vertex) -> int:
-    """Index of v along the cycle trace from the base vertex 0."""
+def cycle_distance(c: Cycle, v: Vertex) -> int:
+    """Index of v along the trace of a hamiltonian cycle from the base vertex 0."""
     spec = c.spec
     spec.require_vertex(v)
     if v == c.base:
         return 0
-    # a witness repeats no vertex before it closes, so the first hit is v
+    # a hamiltonian cycle repeats no vertex before it closes, so the first hit is v
     hit, _ = _walk(spec, c.base, c.arcs, (v,))
     return hit
 

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from torusham import (
     Case,
     CaseNotApplicableError,
-    Symbol,
+    Cycle,
     TorusSpec,
     any_cycle_power,
     classify_case,
@@ -11,15 +13,14 @@ from torusham import (
     cycle_distance,
     even_distance_cycle_2d,
     even_distance_cycle_power,
-    product_embed,
     staircase_a,
     staircase_b,
     trace,
     transposition,
     verify_ham_cycle,
     word_from_flat,
-    CycleWitness,
 )
+from torusham.cycles import _any_cycle_distance
 
 
 def test_staircase_a_examples():
@@ -92,34 +93,6 @@ def test_even_distance_2d_sweep_small():
                 assert cycle_distance(w, (i, j)) == d
 
 
-def test_product_embed_trivial_words():
-    inner = staircase_a(3, 3)
-    single = product_embed(3, inner, b"\0")
-    assert single == b"\0"
-    # winding only the fiber generator traces the whole inner cycle at
-    # first coordinate 0
-    fiber_only = product_embed(3, inner, b"\1" * 9)
-    spec3 = TorusSpec.power(3, 3)
-    vs = list(trace(spec3, (0, 0, 0), word_from_flat(fiber_only)))
-    lifted = [(0,) + v for v in trace(inner.spec, (0, 0), word_from_flat(inner.arcs))]
-    assert vs == lifted
-
-
-def test_product_embed_builds_27_vertex_cycle():
-    inner = staircase_a(3, 3)
-    outer = staircase_a(3, 9)
-    arcs = product_embed(3, inner, outer.arcs)
-    spec = TorusSpec.power(3, 3)
-    assert isinstance(verify_ham_cycle(spec, word_from_flat(arcs)), CycleWitness)
-
-
-def test_product_embed_validates_inner():
-    with pytest.raises(ValueError, match="CycleWitness"):
-        product_embed(3, Symbol(0), Symbol(0))
-    with pytest.raises(ValueError, match="power"):
-        product_embed(3, staircase_a(2, 2), Symbol(0))
-
-
 def test_even_distance_power_base_case():
     w, d, perm = even_distance_cycle_power(3, 2, (1, 2))
     assert d == 6 and perm == (0, 1)
@@ -166,8 +139,31 @@ def test_conjugate_cycle_distance_relation():
 
 
 def test_any_cycle_power_small_sweep():
-    for m in (2, 3, 4):
-        for n in (1, 2, 3):
+    # hamiltonian, and the closed form matches the traced distance at every vertex
+    rng = random.Random(1)
+    for m in range(2, 8):
+        n = 1
+        while m**n <= 2401:
             w = any_cycle_power(m, n)
             assert w.spec.moduli == (m,) * n
-            assert w.length == m**n
+            assert isinstance(verify_ham_cycle(w.spec, w.arcs), Cycle)
+            vs = list(trace(w.spec, w.base, word_from_flat(w.arcs)))[:-1]
+            assert [_any_cycle_distance(m, v) for v in vs] == list(range(m**n))
+            for d in rng.sample(range(m**n), min(4, m**n)):
+                assert cycle_distance(w, vs[d]) == d
+            n += 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_even_distance_cycle_power_is_hamiltonian_with_its_distance(m, n):
+    spec = TorusSpec.power(m, n)
+    targets = list(spec.vertices())
+    if m**n > 243:
+        targets = [spec.zero()] + random.Random(10 * m + n).sample(targets, 24)
+    for v in targets:
+        cycle, dist, perm = even_distance_cycle_power(m, n, v)
+        conj = conjugate_cycle(cycle, perm)
+        assert dist % 2 == 0
+        assert isinstance(verify_ham_cycle(spec, conj.arcs), Cycle)
+        assert cycle_distance(conj, v) == dist

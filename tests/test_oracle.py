@@ -14,7 +14,7 @@ from torusham import (
     hamiltonian_path,
     verify_ham_cycle,
     verify_ham_path,
-    CycleWitness,
+    Cycle,
     PathCertificate,
 )
 
@@ -43,7 +43,7 @@ def test_cycle_witness_verifies():
     spec = TorusSpec((2, 2, 3))
     w = ham_cycle_witness(spec)
     assert w is not None
-    assert isinstance(verify_ham_cycle(spec, w), CycleWitness)
+    assert isinstance(verify_ham_cycle(spec, w), Cycle)
 
 
 def test_endpoint_set_two_power_three():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,9 @@ from torusham import (
     staircase_a,
     verify_ham_path,
     verify_ham_cycle,
-    CycleWitness,
+    Cycle,
 )
-from torusham import paths
+from torusham import paths, words
 from torusham.words import expect_path
 
 
@@ -87,6 +88,24 @@ def test_prism_symbolic_identities():
                 assert _prism_walk(m, N, arcs)[-1] == ((-1) % m, (2 * n) % N)
 
 
+def _roll_reference(m, k, inner, n):
+    """Each a of the prism path becomes 0; the i-th b becomes inner arc i mod N, plus 1."""
+    cursor = itertools.cycle(inner)
+    return bytes(next(cursor) + 1 if b else 0 for b in prism_path_arcs(m, m ** (k - 1), n))
+
+
+def test_rolled_path_matches_the_substitution_reference():
+    rng = random.Random(5)
+    for m in range(2, 8):
+        for k in range(2, 5):
+            spec = TorusSpec.power(m, k - 1)
+            # arbitrary arcs, not a cycle: the roll must place every arc, whatever it is
+            inner = Cycle(spec, bytes(rng.randrange(k - 1) for _ in range(spec.vertex_count)))
+            for n in range((spec.vertex_count + 1) // 2):
+                arcs, _ = paths._rolled_path(m, k, inner, n)
+                assert arcs == _roll_reference(m, k, inner.arcs, n)
+
+
 def test_iso_round_trip_and_generators():
     for m, k in [(2, 3), (3, 3), (5, 4), (4, 5)]:
         iso = ArcForcingIso(m, k)
@@ -117,7 +136,7 @@ def test_iso_backward_requires_zero_sum():
 
 def test_path_from_inner_cycle_k2():
     inner = verify_ham_cycle(TorusSpec.power(3, 1), Power(Symbol(0), 3))
-    assert isinstance(inner, CycleWitness)
+    assert isinstance(inner, Cycle)
     cert = path_from_inner_cycle(3, 2, inner, 1)
     assert cert.verified and cert.length == 8
     assert cert.target == (0, 2)
@@ -160,6 +179,9 @@ def test_path_builders_validate_inputs():
         hamiltonian_path(3, 3, (0, 0, 0), (3, 0, 0))
     with pytest.raises(ValueError, match="not a reduced vertex"):
         hamiltonian_path(3, 3, (0, 0), (2, 0, 0))
+    # a bool coordinate would end up in the certificate record, which verify rejects
+    with pytest.raises(ValueError, match="not a reduced vertex"):
+        hamiltonian_path(3, 3, (True, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -172,15 +194,25 @@ def test_path_builders_validate_inputs():
 )
 def test_hamiltonian_path_traces_the_certificate_once(monkeypatch, m, k, u, v):
     calls = []
+    walks = []
+    walk = words._walk
 
     def counting(spec, start, target, word):
         calls.append((start, target))
         return expect_path(spec, start, target, word)
 
+    def counting_walk(spec, *args):
+        walks.append(spec.moduli)
+        return walk(spec, *args)
+
     monkeypatch.setattr(paths, "expect_path", counting)
+    monkeypatch.setattr(words, "_walk", counting_walk)
+    monkeypatch.setattr(paths, "_walk", counting_walk)
     cert = hamiltonian_path(m, k, u, v)
     assert cert.verified and (cert.start, cert.target) == (u, v)
     assert calls == [(u, v)]
+    # the first 2n inner arcs, to reach the target, then the certificate itself
+    assert walks == [(m,) * (k - 1), (m,) * k]
 
 
 def test_hamiltonian_path_dispatch_and_translation():

@@ -8,8 +8,8 @@ import hypothesis.strategies as st
 from conftest import generator_words
 from torusham import (
     Concat,
+    Cycle,
     CycleRejection,
-    CycleWitness,
     Power,
     Symbol,
     TorusSpec,
@@ -41,9 +41,11 @@ def test_expand_zero_power_and_mixed():
     assert expand(Concat((X1, Power(X2, 2)))) == [0, 1, 1]
 
 
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        Power(X1, -1)
+@pytest.mark.parametrize("exponent", [-1, True, 1.0])
+def test_negative_exponent_rejected(exponent):
+    # True would render as x1^True, which word_from_text rejects
+    with pytest.raises(ValueError, match="non-negative int"):
+        Power(X1, exponent)
 
 
 @pytest.mark.parametrize("label", ["a", True, -1, 1.0, None])
@@ -138,12 +140,12 @@ def test_verify_matches_naive_reimplementation(w):
 def test_verify_ham_cycle_examples():
     spec = TorusSpec((3, 3))
     good = Power(Concat((Power(Symbol(0), 2), Symbol(1))), 3)
-    assert isinstance(verify_ham_cycle(spec, good), CycleWitness)
+    assert isinstance(verify_ham_cycle(spec, good), Cycle)
     bad = verify_ham_cycle(spec, Power(Power(Symbol(0), 3), 3))
     assert isinstance(bad, CycleRejection)
     assert bad.reason == "revisits a vertex early"
     spec22 = TorusSpec((2, 2))
-    assert isinstance(verify_ham_cycle(spec22, word_from_flat([0, 1, 0, 1])), CycleWitness)
+    assert isinstance(verify_ham_cycle(spec22, word_from_flat([0, 1, 0, 1])), Cycle)
 
 
 def test_verify_ham_cycle_wrong_closure():
