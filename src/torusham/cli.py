@@ -17,6 +17,7 @@ from .torus import TorusSpec, Vertex
 from .words import (
     PathCertificate,
     Word,
+    _checked_flat,
     trace,
     verify_ham_path,
     word_from_flat,
@@ -68,11 +69,13 @@ def parse_moduli(text: str) -> tuple[int, ...]:
 
 
 def certificate_record(cert: PathCertificate) -> dict:
+    # a claim verified from flat arcs gets its tree only here
+    word = cert.word if cert.word is not None else word_from_flat(cert.arcs)
     return {
         "moduli": list(cert.spec.moduli),
         "from": list(cert.start),
         "to": list(cert.target),
-        "word": {"nested": word_to_text(cert.word)},
+        "word": {"nested": word_to_text(word)},
         "verified": cert.verified,
         "length": cert.length,
     }
@@ -89,16 +92,17 @@ def endpoint_record(report: EndpointReport) -> dict:
     }
 
 
-def word_from_record(value) -> Word:
+def word_from_record(value) -> Word | list[int]:
+    """The word of a record: a tree for nested text, a checked list for a flat array."""
     if isinstance(value, dict):
-        for key, kind, parse in (("nested", str, word_from_text), ("flat", list, word_from_flat)):
+        for key, kind, parse in (("nested", str, word_from_text), ("flat", list, _checked_flat)):
             if key in value:
                 if not isinstance(value[key], kind):
                     raise ValueError(f"word entry {key!r} must be a {kind.__name__}")
                 return parse(value[key])
         raise ValueError("word object needs a 'nested' or 'flat' entry")
     if isinstance(value, list):
-        return word_from_flat(value)
+        return _checked_flat(value)
     if isinstance(value, str):
         return word_from_text(value)
     raise ValueError(f"cannot read a word from {type(value).__name__}")
@@ -131,7 +135,7 @@ def _error(exc: Exception) -> int:
 def _emit_dot(cert: PathCertificate, stream) -> None:
     spec = cert.spec
     path_arcs = set()
-    vs = list(trace(spec, cert.start, cert.word))
+    vs = list(trace(spec, cert.start, cert.arcs))
     for a, b in zip(vs, vs[1:]):
         path_arcs.add((a, b))
     name = ",".join
@@ -160,7 +164,7 @@ def cmd_construct(args) -> int:
     elif args.format == "word":
         print(word_to_text(outcome.word))
     elif args.format == "vertices":
-        for v in trace(outcome.spec, outcome.start, outcome.word):
+        for v in trace(outcome.spec, outcome.start, outcome.arcs):
             print(",".join(map(str, v)))
     elif args.format == "dot":
         if outcome.spec.vertex_count > DOT_VERTEX_LIMIT:

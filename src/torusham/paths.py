@@ -24,12 +24,13 @@ first-coordinate parity bipartitions H and forces the distance to w + x_1
 even once a transposition tau moves an odd coordinate of w to the front
 (the rolled arcs are relabelled back by tau); its distance has a closed
 form.  Either way the inner cycle is not traced: walking its first 2n arcs
-checks the distance, and the certificate is traced once, from u to v.
+checks the distance, and the certificate bytes are traced once, from u to
+v, before they are rendered as a run-length tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .torus import TorusSpec, Vertex, identity_perm, transposition
 from .words import Cycle, PathCertificate, _walk, expect_path, word_from_runs
@@ -139,7 +140,8 @@ def path_from_inner_cycle(m: int, k: int, inner: Cycle, n: int) -> PathCertifica
     isomorphism.  Aborts rather than return an unverified certificate.
     """
     arcs, target = _rolled_path(m, k, inner, n)
-    return expect_path(TorusSpec.power(m, k), (0,) * k, target, word_from_runs(arcs, 0))
+    cert = expect_path(TorusSpec.power(m, k), (0,) * k, target, arcs)
+    return replace(cert, word=word_from_runs(arcs, 0))
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,8 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     the search oracle for k = 2.
 
     The parity of m picks the inner cycle, its distance and the permutation;
-    one shared tail rolls, relabels and trace-checks the word at (u, v).
+    one shared tail rolls, relabels and trace-checks the arcs at (u, v), then
+    renders them as the certificate's word.
     """
     if m < 2:
         raise ValueError(f"cycle length must be >= 2, got {m}")
@@ -212,5 +215,5 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     arcs, target = _rolled_path(m, k, inner, dist // 2)
     if target != w:
         raise AssertionError(f"constructed endpoint {target} != permuted target {w}")
-    word = word_from_runs(arcs.translate(_arc_table(tau)), tau[0])
-    return expect_path(spec, u, v, word)
+    arcs = arcs.translate(_arc_table(tau))
+    return replace(expect_path(spec, u, v, arcs), word=word_from_runs(arcs, tau[0]))

@@ -6,9 +6,16 @@ non-negative integer exponent, so run-length constructions like
 cycle length 2 several building blocks degenerate to it).  Symbol labels are
 generator indices, non-negative ints rendered x1..xk.
 
-Trees are the certificate and text format.  Constructions carry arcs flat,
-as bytes of generator indices (Cycle.arcs), and build a certificate tree
-once with word_from_runs.
+A certificate is flat: bytes of generator indices (PathCertificate.arcs),
+the exact sequence its trace walked.  Constructions carry arcs as bytes
+(Cycle.arcs), check them, and render them once as a run-length tree with
+word_from_runs; the tree and its text are renderings of those bytes.  The
+verifiers take a tree or flat arcs (bytes, or a checked list of ints); a
+tree's length is checked before it is expanded.  Tree walks (_fold) run
+C-level loops over each Concat's parts and one Python call per distinct
+part, and free each level's values once the level above is built; the
+text parser is one loop over regex tokens, with no recursion and no
+function call per token.
 
 Verification is exact: a visited set sized to the vertex count, no
 probabilistic shortcuts.  The construction does not trace its intermediate
@@ -19,9 +26,11 @@ thorough.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Union
 
 from .torus import TorusSpec, Vertex
 
@@ -56,53 +65,73 @@ class Power:
 
 Word = Union[Symbol, Concat, Power]
 
+
+def _fold(w: Word, symbol: Callable, concat: Callable, power: Callable):
+    """Evaluate a tree bottom-up.
+
+    symbol(label) gives a leaf's value, concat(values) a Concat's from its
+    parts' values, power(value, exponent) a Power's.  Each Concat evaluates
+    its distinct parts once, memoised by id in a dict of its own, so a
+    Concat of a million shared leaves costs C-level loops over its parts
+    and one Python call per distinct part.  The dict is dropped as soon as
+    the Concat's value is built, so a deep tree holds the values of one
+    path of levels at a time, not every level's.
+    """
+
+    def value(node: Word):
+        if isinstance(node, Symbol):
+            return symbol(node.label)
+        if isinstance(node, Concat):
+            parts = node.parts
+            ids = list(map(id, parts))
+            values = {}
+            for key, part in dict(zip(ids, parts)).items():
+                values[key] = value(part)
+            return concat(map(values.__getitem__, ids))
+        if isinstance(node, Power):
+            return power(value(node.base), node.exponent)
+        raise TypeError(f"not a word: {node!r}")
+
+    return value(w)
+
+
+# flat arcs: bytes, or a list of non-negative ints such as _checked_flat returns
+_FLAT = (bytes, list)
+
+
 def flat_length(w: Word) -> int:
     """Length of the fully expanded word, computed without expanding."""
-    if isinstance(w, Symbol):
-        return 1
-    if isinstance(w, Concat):
-        return sum(flat_length(p) for p in w.parts)
-    if isinstance(w, Power):
-        return w.exponent * flat_length(w.base)
-    raise TypeError(f"not a word: {w!r}")
+    return _fold(w, lambda g: 1, sum, operator.mul)
 
 
 def expand(w: Word) -> list[int]:
-    """Generator indices of the expansion, left to right.
+    """Generator indices of the expansion, left to right."""
+    return _fold(w, lambda g: [g], lambda xs: list(chain.from_iterable(xs)), operator.mul)
 
-    List repetition keeps Power expansion at C speed.
+
+def _generator_arcs(spec: TorusSpec, w: Word | bytes | list[int]) -> bytes:
+    """The expansion as bytes, every arc checked to be a generator index of spec.
+
+    Callers check the length first, so a power bomb never gets here.
     """
-    if isinstance(w, Symbol):
-        return [w.label]
-    if isinstance(w, Concat):
-        out: list[int] = []
-        for p in w.parts:
-            out.extend(expand(p))
-        return out
-    if isinstance(w, Power):
-        return expand(w.base) * w.exponent
-    raise TypeError(f"not a word: {w!r}")
-
-
-def _generator_arcs(spec: TorusSpec, w: Word | bytes) -> list[int] | bytes:
-    arcs = w if isinstance(w, bytes) else expand(w)
+    arcs = w if isinstance(w, _FLAT) else expand(w)
     if arcs and max(arcs) >= spec.k:
         raise ValueError(f"arc {max(arcs)} is not a generator index in [0, {spec.k})")
-    return arcs
+    return bytes(arcs)
 
 
-def trace(spec: TorusSpec, start: Vertex, w: Word) -> Iterator[Vertex]:
-    """Yield the vertex sequence of the word starting at `start`.
+def trace(spec: TorusSpec, start: Vertex, w: Word | bytes | list[int]) -> Iterator[Vertex]:
+    """Yield the vertex sequence of a word tree or flat arcs starting at `start`.
 
-    The first yielded vertex is `start`; one more follows per expanded
-    symbol, which must be a generator index below spec.k.
+    The first yielded vertex is `start`; one more follows per arc, which
+    must be a generator index below spec.k.
     """
     spec.require_vertex(start)
     coords = list(start)
     moduli = spec.moduli
     k = spec.k
     yield start
-    for g in expand(w):
+    for g in w if isinstance(w, _FLAT) else expand(w):
         if g >= k:
             raise ValueError(f"symbol {g!r} is not a generator index in [0, {k})")
         coords[g] = (coords[g] + 1) % moduli[g]
@@ -154,6 +183,13 @@ def _walk(
 class PathCertificate:
     """An endpoint-checked hamiltonian path claim.
 
+    `arcs` holds the generator indices the trace walked: it is the
+    certificate.  `word` is a rendering of it: the tree the claim was read
+    from, the run-length tree a construction built from its arcs, or None
+    for a claim given as flat arcs.  A tree refused by its length is never
+    expanded, and its `arcs` stay empty, as do those of refused flat arcs
+    with an entry past a byte.
+
     When `verified` is false, `failure` says what went wrong and, for
     repeats and endpoint mismatches, `failure_position`/`failure_vertex`
     locate the first defect in the trace.
@@ -162,7 +198,8 @@ class PathCertificate:
     spec: TorusSpec
     start: Vertex
     target: Vertex
-    word: Word
+    arcs: bytes
+    word: Word | None
     verified: bool
     failure: str | None = None
     failure_position: int | None = None
@@ -170,7 +207,7 @@ class PathCertificate:
 
     @property
     def length(self) -> int:
-        return flat_length(self.word)
+        return len(self.arcs)
 
 
 @dataclass(frozen=True)
@@ -196,47 +233,56 @@ class Cycle:
 @dataclass(frozen=True)
 class CycleRejection:
     spec: TorusSpec
-    word: Word | bytes
+    word: Word | bytes | list[int]
     reason: str
     position: int | None = None
     vertex: Vertex | None = None
 
 
-def verify_ham_path(spec: TorusSpec, start: Vertex, target: Vertex, w: Word) -> PathCertificate:
-    """Check that the word traces a hamiltonian path from start to target.
+def verify_ham_path(
+    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | bytes | list[int]
+) -> PathCertificate:
+    """Check that a word tree or flat arcs trace a hamiltonian path from start to target.
 
-    Accepts exactly the words whose trace has vertex_count distinct vertices
-    (hence all of them) and ends at target.  Failures are reported in the
-    certificate, never raised.
+    Flat arcs are bytes or a list of non-negative ints.  Accepts exactly the
+    words whose trace has vertex_count distinct vertices (hence all of them)
+    and ends at target.  The length is checked first, so a tree is expanded,
+    once, to bytes only when its length is right.  Failures are reported in
+    the certificate, never raised.
     """
     spec.require_vertex(start)
     spec.require_vertex(target)
     count = spec.vertex_count
-    n = flat_length(w)
+    flat = isinstance(w, _FLAT)
+    word = None if flat else w
+    n = len(w) if flat else flat_length(w)
     if n != count - 1:
+        # refused flat arcs are kept when they fit in bytes; a refused tree is never expanded
+        arcs = bytes(w) if flat and max(w, default=0) < 256 else b""
         return PathCertificate(
-            spec, start, target, w, False,
+            spec, start, target, arcs, word, False,
             failure=f"length {n} != vertex count - 1 = {count - 1}",
         )
-    hit, stop = _walk(spec, start, _generator_arcs(spec, w))
+    arcs = _generator_arcs(spec, w)
+    hit, stop = _walk(spec, start, arcs)
     if hit is not None:
         return PathCertificate(
-            spec, start, target, w, False,
+            spec, start, target, arcs, word, False,
             failure="repeated vertex",
             failure_position=hit,
             failure_vertex=stop,
         )
     if stop != target:
         return PathCertificate(
-            spec, start, target, w, False,
+            spec, start, target, arcs, word, False,
             failure=f"endpoint {stop} != target {target}",
             failure_position=n,
             failure_vertex=stop,
         )
-    return PathCertificate(spec, start, target, w, True)
+    return PathCertificate(spec, start, target, arcs, word, True)
 
 
-def verify_ham_cycle(spec: TorusSpec, w: Word | bytes) -> Cycle | CycleRejection:
+def verify_ham_cycle(spec: TorusSpec, w: Word | bytes | list[int]) -> Cycle | CycleRejection:
     """Check that a word tree or flat arcs trace a hamiltonian cycle based at 0.
 
     Accepts exactly the words of length vertex_count whose trace visits
@@ -244,11 +290,11 @@ def verify_ham_cycle(spec: TorusSpec, w: Word | bytes) -> Cycle | CycleRejection
     raised.
     """
     count = spec.vertex_count
-    n = len(w) if isinstance(w, bytes) else flat_length(w)
+    n = len(w) if isinstance(w, _FLAT) else flat_length(w)
     if n != count:
         return CycleRejection(spec, w, f"length {n} != vertex count {count}")
     zero = spec.zero()
-    arcs = bytes(_generator_arcs(spec, w))
+    arcs = _generator_arcs(spec, w)
     # count arcs over count vertices must land on a marked vertex by step count
     hit, stop = _walk(spec, zero, arcs)
     if hit < count:
@@ -258,7 +304,9 @@ def verify_ham_cycle(spec: TorusSpec, w: Word | bytes) -> Cycle | CycleRejection
     return Cycle(spec, arcs)
 
 
-def expect_path(spec: TorusSpec, start: Vertex, target: Vertex, w: Word) -> PathCertificate:
+def expect_path(
+    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | bytes | list[int]
+) -> PathCertificate:
     cert = verify_ham_path(spec, start, target, w)
     if not cert.verified:
         raise ConstructionError(
@@ -283,90 +331,93 @@ def cycle_distance(c: Cycle, v: Vertex) -> int:
 # Nested text form, e.g. ((x1^1 x2^2)^1 (x1^1 x2 x1)^6 (x1^1 x2^2)^1 x1^1 x2).
 # Generator indices render as x1..xk; any other letter token is an error.
 # The flat JSON form is just a list of generator indices.  Both forms
-# round-trip through the Word tree exactly.
+# round-trip through the Word tree exactly.  The parser is one loop over
+# tokens with an explicit stack of open groups.
 
-_TOKEN_RE = re.compile(r"\(|\)|\^|\d+|[A-Za-z][A-Za-z0-9]*")
+# One token per generator with its exponent chain (x3^2, x1 ^ 2^3), per
+# group exponent, per other letter or digit run, and per bracket or bare ^.
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:\s*\^\s*\d+)*|\^\s*\d+|\d+|[()^]")
+_CARET_RE = re.compile(r"\s*\^\s*")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z()^]")
 _GEN_RE = re.compile(r"x[0-9]+\Z")
 
 
 def word_to_text(w: Word) -> str:
-    def item(node: Word) -> str:
-        if isinstance(node, Symbol):
-            return f"x{node.label + 1}"
-        if isinstance(node, Concat):
-            return "(" + " ".join(item(p) for p in node.parts) + ")"
-        if isinstance(node, Power):
-            return f"{item(node.base)}^{node.exponent}"
-        raise TypeError(f"not a word: {node!r}")
+    return _fold(
+        w,
+        lambda g: f"x{g + 1}",
+        lambda texts: "(" + " ".join(texts) + ")",
+        lambda text, e: f"{text}^{e}",
+    )
 
-    return item(w)
+
+class _Leaves(dict):
+    """Leaf token text -> its node, built on first sight, so equal leaves share one node."""
+
+    def __missing__(self, token: str) -> Word:
+        name, *exponents = _CARET_RE.split(token)
+        if not _GEN_RE.match(name):
+            raise ValueError(f"unexpected token {name!r} in word text")
+        index = int(name[1:])
+        if index < 1:
+            raise ValueError(f"generator token {name!r} must be x1 or higher")
+        node: Word = self[name] if exponents else Symbol(index - 1)
+        for e in exponents:
+            node = Power(node, int(e))
+        self[token] = node
+        return node
 
 
 def word_from_text(text: str) -> Word:
-    tokens = _TOKEN_RE.findall(text)
-    if "".join(tokens) != re.sub(r"\s+", "", text):
+    """Parse the nested text form, iteratively: nesting depth costs no recursion."""
+    if _BAD_CHAR_RE.search(text):
         raise ValueError("unrecognized characters in word text")
-    pos = 0
-    # equal leaves share one node; Concat bases are not hashed (that hash recurses)
-    symbols: dict[str, Symbol] = {}
-    powers: dict[tuple[str, int], Power] = {}
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_item() -> Word:
-        nonlocal pos
-        tok = peek()
-        if tok == "(":
-            pos += 1
-            parts = []
-            while peek() not in (")", None):
-                parts.append(parse_item())
-            if peek() != ")":
+    leaves = _Leaves()
+    groups: list[list[Word]] = []
+    items: list[Word] = []
+    for tok in _TOKEN_RE.findall(text):
+        c = tok[0]
+        if c == "(":
+            groups.append(items)
+            items = []
+        elif c == ")":
+            if not groups:
                 raise ValueError("unbalanced parenthesis in word text")
-            pos += 1
-            node: Word = Concat(tuple(parts))
-        elif tok is not None and _GEN_RE.match(tok):
-            pos += 1
-            node = symbols.get(tok)
-            if node is None:
-                index = int(tok[1:])
-                if index < 1:
-                    raise ValueError(f"generator token {tok!r} must be x1 or higher")
-                node = symbols[tok] = Symbol(index - 1)
-        else:
-            raise ValueError(f"unexpected token {tok!r} in word text")
-        while peek() == "^":
-            pos += 1
-            exp = peek()
-            if exp is None or not exp.isdigit():
+            node = Concat(tuple(items))
+            items = groups.pop()
+            items.append(node)
+        elif c == "^":
+            # a leaf token holds its own exponents, so a ^ follows ")", a ^e or nothing
+            if not items:
+                raise ValueError("unexpected token '^' in word text")
+            if tok == "^":
                 raise ValueError("exponent must be a non-negative integer")
-            pos += 1
-            if isinstance(node, Symbol):
-                key = (tok, int(exp))
-                if key not in powers:
-                    powers[key] = Power(node, key[1])
-                node = powers[key]
-            else:
-                node = Power(node, int(exp))
-        return node
-
-    items = []
-    while peek() is not None:
-        if peek() == ")":
-            raise ValueError("unbalanced parenthesis in word text")
-        items.append(parse_item())
+            items[-1] = Power(items[-1], int(tok[1:].lstrip()))
+        else:
+            items.append(leaves[tok])
+    if groups:
+        raise ValueError("unbalanced parenthesis in word text")
     if len(items) == 1:
         return items[0]
     return Concat(tuple(items))
 
 
+def _checked_flat(arcs: Iterable[int]) -> list[int]:
+    """The flat form as a list, every entry checked to be a non-negative int in C loops.
+
+    The verifiers take the checked list as flat arcs.
+    """
+    arcs = list(arcs)
+    # set() would merge 1, 1.0 and True, so the check is on the types
+    if not set(map(type, arcs)) <= {int} or min(arcs, default=0) < 0:
+        bad = next(g for g in arcs if type(g) is not int or g < 0)
+        raise ValueError(f"flat form entries must be non-negative ints, got {bad!r}")
+    return arcs
+
+
 def word_from_flat(arcs: Iterable[int]) -> Concat:
     """Concat of one Symbol per arc; equal arcs share one node."""
-    arcs = list(arcs)
-    for g in arcs:
-        if type(g) is not int or g < 0:
-            raise ValueError(f"flat form entries must be non-negative ints, got {g!r}")
+    arcs = _checked_flat(arcs)
     nodes = {g: Symbol(g) for g in set(arcs)}
     return Concat(tuple(map(nodes.__getitem__, arcs)))
 

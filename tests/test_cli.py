@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import torusham
-from torusham import TorusSpec, cli, hamiltonian_path, verify_ham_path
+from torusham import TorusSpec, cli, expand, hamiltonian_path, verify_ham_path, word_from_text
 from torusham.cli import certificate_record, word_from_record
 
 BASE = [sys.executable, "-m", "torusham"]
@@ -77,6 +77,7 @@ def test_construct_vertices_format():
     assert len(lines) == 8
     assert lines[0] == "0,0,0" and lines[-1] == "1,0,0"
     assert len(set(lines)) == 8
+    assert lines == ["0,0,0", "0,1,0", "1,1,0", "1,1,1", "0,1,1", "0,0,1", "1,0,1", "1,0,0"]
 
 
 def test_construct_into_closed_pipe_exits_1_without_traceback():
@@ -127,6 +128,23 @@ def test_verify_wrong_target_exit_2():
     assert "endpoint" in checked.stderr
 
 
+def test_verify_corrupted_flat_record_names_the_step():
+    arcs = expand(word_from_text(CUBE_WORD))
+    assert arcs[6:8] == [0, 2]
+    arcs[6:8] = [2, 0]
+    record = json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": {"flat": arcs}})
+    checked = run("verify", stdin=record)
+    assert checked.returncode == 2
+    assert checked.stderr == "not a hamiltonian path: repeated vertex at step 10\n"
+
+
+def test_verify_flat_entry_past_a_byte_keeps_the_length_check():
+    # 300 is no generator, but a wrong length is still the principled negative answer
+    checked = run("verify", "--m", "3", "--k", "3", "--to", "2,0,0", stdin="[300]")
+    assert checked.returncode == 2
+    assert "length 1" in checked.stderr
+
+
 def test_verify_flat_json_word():
     payload = json.dumps([0, 1, 0])
     checked = run("verify", "--m", "2", "--k", "2", "--to", "0,1", stdin=payload)
@@ -150,6 +168,11 @@ CUBE_RECORD = json.dumps(
         ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": {"flat": 5}})),
         # int() would read 3.9 as 3, and the word verifies on (Z_3)^3
         ([], json.dumps({"moduli": [3.9, 3, 3], "to": [2, 0, 0], "word": CUBE_WORD})),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "[true]"),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "[1.0]"),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "[-1]"),
+        # the right length, so the generator range is what fails
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], json.dumps([300] + [0] * 25)),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "(" * 3000 + "x1" + ")" * 3000),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "x1" + "^1" * 3000),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[" * 100000 + "]" * 100000),
@@ -161,6 +184,7 @@ CUBE_RECORD = json.dumps(
     ],
     ids=[
         "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float",
+        "flat-true", "flat-float", "flat-negative", "flat-300",
         "deep-parentheses", "deep-powers", "deep-json-array", "missing-file", "directory-file",
         "lone-m", "lone-k",
     ],

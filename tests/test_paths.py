@@ -12,6 +12,7 @@ from torusham import (
     Refusal,
     Symbol,
     TorusSpec,
+    expand,
     hamiltonian_path,
     path_from_inner_cycle,
     prism_path_arcs,
@@ -213,6 +214,22 @@ def test_hamiltonian_path_traces_the_certificate_once(monkeypatch, m, k, u, v):
     assert calls == [(u, v)]
     # the first 2n inner arcs, to reach the target, then the certificate itself
     assert walks == [(m,) * (k - 1), (m,) * k]
+
+
+def test_certificate_word_renders_the_walked_arcs():
+    # the trace walks cert.arcs; the word is only a rendering, so it must expand to them
+    configs = [(m, k) for k in (3, 4, 5) for m in range(2, 10) if m**k <= 4096]
+    certified = 0
+    for m, k in configs:
+        spec = TorusSpec.power(m, k)
+        for v in spec.vertices():
+            if sum(v) % m != m - 1:
+                continue
+            cert = hamiltonian_path(m, k, spec.zero(), v)
+            assert type(cert.arcs) is bytes and len(cert.arcs) == m**k - 1
+            assert expand(cert.word) == list(cert.arcs)
+            certified += 1
+    assert certified == sum(m ** (k - 1) for m, k in configs)
 
 
 def test_hamiltonian_path_dispatch_and_translation():

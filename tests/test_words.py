@@ -1,8 +1,10 @@
 import itertools
 import re
+import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from conftest import generator_words
@@ -25,7 +27,7 @@ from torusham import (
     word_from_text,
     word_to_text,
 )
-from torusham.words import word_from_runs
+from torusham.words import _checked_flat, word_from_runs
 
 X1, X2 = Symbol(0), Symbol(1)
 
@@ -129,6 +131,77 @@ def test_verify_ham_path_length_mismatch():
     assert not cert.verified and "length" in cert.failure
 
 
+def test_verify_ham_path_walks_bytes_and_keeps_the_tree_as_rendering():
+    spec = TorusSpec((2, 2))
+    tree = word_from_flat([0, 1, 0])
+    from_tree = verify_ham_path(spec, (0, 0), (0, 1), tree)
+    from_bytes = verify_ham_path(spec, (0, 0), (0, 1), bytes([0, 1, 0]))
+    assert from_tree.verified and from_bytes.verified
+    assert from_tree.arcs == from_bytes.arcs == b"\0\1\0" and from_tree.length == 3
+    assert from_tree.word is tree and from_bytes.word is None
+    cert = verify_ham_path(spec, (0, 0), (0, 1), bytes([0, 0, 1]))
+    assert (cert.failure, cert.failure_position, cert.arcs) == ("repeated vertex", 2, b"\0\0\1")
+    with pytest.raises(ValueError, match="arc 2 is not a generator"):
+        verify_ham_path(spec, (0, 0), (0, 1), bytes([0, 2, 1]))
+
+
+def test_verify_ham_path_takes_a_checked_flat_list():
+    spec = TorusSpec((2, 2))
+    cert = verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 1, 0]))
+    assert cert.verified and cert.arcs == b"\0\1\0" and cert.word is None
+    short = verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 1]))
+    assert short.failure.startswith("length 2") and short.arcs == b"\0\1"
+    # a wrong length is reported before the range check, even past a byte
+    wide = verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([300]))
+    assert wide.failure.startswith("length 1") and wide.arcs == b""
+    with pytest.raises(ValueError, match="arc 300 is not a generator"):
+        verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 300, 0]))
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _nested(w, depth):
+    for _ in range(depth):
+        w = Concat((w,))
+    return w
+
+
+def test_expand_of_a_deep_word_holds_about_two_copies():
+    # the length guard is only a guard if expanding a word of that length costs about its length
+    out, peak = _peak_bytes(expand, _nested(Power(X1, 100_000), 200))
+    assert len(out) == 100_000
+    assert peak < 3 * sys.getsizeof(out)
+
+
+def test_rendering_a_deep_word_holds_a_few_copies_of_its_text():
+    text, peak = _peak_bytes(word_to_text, _nested(Concat((word_from_flat([0] * 300),) * 300), 200))
+    assert len(text) > 270_000
+    assert peak < 4 * len(text)
+
+
+def test_verify_ham_path_refuses_a_power_bomb_before_expanding():
+    spec = TorusSpec((3, 3))
+    cert = verify_ham_path(spec, (0, 0), (2, 2), Power(X1, 10**18))
+    assert cert.failure == f"length {10**18} != vertex count - 1 = 8"
+    assert cert.arcs == b""
+
+
+def test_labels_past_a_byte_keep_the_generator_range_check():
+    spec = TorusSpec((2, 2))
+    with pytest.raises(ValueError, match="arc 299 is not a generator"):
+        verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0, 299, 0]))
+    # an empty power of a label past a byte expands to nothing
+    w = Concat((X1, Power(Symbol(299), 0), X2, X1))
+    assert verify_ham_path(spec, (0, 0), (0, 1), w).verified
+
+
 @given(generator_words(2, max_exponent=3))
 def test_verify_matches_naive_reimplementation(w):
     spec = TorusSpec((2, 3))
@@ -205,7 +278,7 @@ def test_flat_round_trip():
     w = word_from_flat(arcs)
     assert expand(w) == arcs
     # set() merges 1, 1.0 and True, so every entry is checked, not each distinct value
-    for bad in (["a"], [0, 1.0], [0, True]):
+    for bad in (["a"], [0, 1.0], [0, True], [0, -1]):
         with pytest.raises(ValueError):
             word_from_flat(bad)
 
@@ -229,3 +302,135 @@ def test_run_length_encoder_round_trip(arcs, g):
     assert set(re.findall(r"(\w+)\^", word_to_text(w))) <= {f"x{g + 1}"}
     labels = [p.base.label if isinstance(p, Power) else p.label for p in w.parts]
     assert not any(a == b == g for a, b in zip(labels, labels[1:])), "runs must be maximal"
+
+
+# --- the text codec against the recursive reference ---------------------------
+#
+# The recursive-descent parser and the recursive renderer that the flat codec
+# replaced, kept as references: the codec must accept and reject the same
+# inputs and give equal trees and equal text.
+
+_REF_TOKEN_RE = re.compile(r"\(|\)|\^|\d+|[A-Za-z][A-Za-z0-9]*")
+_REF_GEN_RE = re.compile(r"x[0-9]+\Z")
+
+
+def reference_word_to_text(w):
+    def item(node):
+        if isinstance(node, Symbol):
+            return f"x{node.label + 1}"
+        if isinstance(node, Concat):
+            return "(" + " ".join(item(p) for p in node.parts) + ")"
+        if isinstance(node, Power):
+            return f"{item(node.base)}^{node.exponent}"
+        raise TypeError(f"not a word: {node!r}")
+
+    return item(w)
+
+
+def reference_word_from_text(text):
+    tokens = _REF_TOKEN_RE.findall(text)
+    if "".join(tokens) != re.sub(r"\s+", "", text):
+        raise ValueError("unrecognized characters in word text")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def parse_item():
+        nonlocal pos
+        tok = peek()
+        if tok == "(":
+            pos += 1
+            parts = []
+            while peek() not in (")", None):
+                parts.append(parse_item())
+            if peek() != ")":
+                raise ValueError("unbalanced parenthesis in word text")
+            pos += 1
+            node = Concat(tuple(parts))
+        elif tok is not None and _REF_GEN_RE.match(tok):
+            pos += 1
+            index = int(tok[1:])
+            if index < 1:
+                raise ValueError(f"generator token {tok!r} must be x1 or higher")
+            node = Symbol(index - 1)
+        else:
+            raise ValueError(f"unexpected token {tok!r} in word text")
+        while peek() == "^":
+            pos += 1
+            exp = peek()
+            if exp is None or not exp.isdigit():
+                raise ValueError("exponent must be a non-negative integer")
+            pos += 1
+            node = Power(node, int(exp))
+        return node
+
+    items = []
+    while peek() is not None:
+        if peek() == ")":
+            raise ValueError("unbalanced parenthesis in word text")
+        items.append(parse_item())
+    if len(items) == 1:
+        return items[0]
+    return Concat(tuple(items))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+# \x1c is whitespace to str.isspace and \\s, but not to int(); \u0663 is a digit to \\d
+TEXT_PIECES = st.sampled_from(
+    ["x1", "x2", "x10", "x0", "X1", "(", ")", "^", "^3", "^-1", "2", "$", "a", " ", "  ", "\n",
+     "\x1c", "\u0663"]
+)
+WORD_TEXTS = st.one_of(
+    generator_words(10).map(reference_word_to_text),
+    st.lists(TEXT_PIECES, max_size=16).map("".join),
+    # the text of a tree with pieces spliced in
+    st.tuples(generator_words(3).map(reference_word_to_text), st.integers(0, 200), TEXT_PIECES).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
+    ),
+)
+
+
+@settings(max_examples=600)
+@given(WORD_TEXTS)
+@example("x1 ^\x1c2^\u0663 (x2)^\x1c3")
+def test_parser_agrees_with_the_recursive_reference(text):
+    # equal trees, or a ValueError with the same message from both
+    assert _outcome(word_from_text, text) == _outcome(reference_word_from_text, text)
+
+
+def _shared_node_words(k):
+    # Concats and Powers that reuse a small pool of node objects
+    return st.lists(generator_words(k), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=8).flatmap(
+            lambda parts: st.sampled_from(
+                [Concat(tuple(parts)), Power(Concat(tuple(parts)), 2), Concat((Concat(tuple(parts)),) * 2)]
+            )
+        )
+    )
+
+
+@given(st.one_of(generator_words(12), _shared_node_words(4)))
+def test_renderer_agrees_with_the_recursive_reference(w):
+    assert word_to_text(w) == reference_word_to_text(w)
+    assert flat_length(w) == len(expand(w))
+
+
+def test_parser_takes_deep_nesting_without_recursion():
+    depth = 3000
+    node = word_from_text("(" * depth + "x1" + ")" * depth)
+    for _ in range(depth - 1):
+        assert isinstance(node, Concat) and len(node.parts) == 1
+        node = node.parts[0]
+    assert node == Concat((X1,))
+    node = word_from_text("x2" + "^1" * depth)
+    for _ in range(depth):
+        assert isinstance(node, Power) and node.exponent == 1
+        node = node.base
+    assert node == X2
