@@ -190,8 +190,6 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int, Pe
         if (i + r) % 2 == 0:
             cycle, dist = even_distance_cycle_2d(m, m, (j, i))
             return cycle, dist, transposition(2, 0, 1)
-        if v == (0, 0):
-            return staircase_a(m, m), 0, identity_perm(2)
         if j != 0:
             cycle, dist = even_distance_cycle_2d(m, m, (i, j))
             return cycle, dist, identity_perm(2)

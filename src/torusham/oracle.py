@@ -1,10 +1,11 @@
 """Brute-force ground truth for small directed tori.
 
-Exhaustive depth-first search for hamiltonian paths and cycles on mixed
-moduli products, endpoint-set enumeration against the distance congruence,
-and the number-theoretic two-cycle hamiltonicity criterion.  Everything here
-is deliberately independent of the constructive machinery; the only shared
-ingredient is the arc definition itself.
+Exhaustive depth-first search for hamiltonian paths on mixed moduli
+products (a cycle is one arc plus a path back to 0), endpoint-set
+enumeration against the distance congruence, and the number-theoretic
+two-cycle hamiltonicity criterion.  Everything here is deliberately
+independent of the constructive machinery: it imports only the torus
+definition, and witnesses are plain bytes of generator indices.
 
 Searches are capped: the default bound is 32 vertices and the hard bound is
 64, because exhaustive non-existence proofs get expensive quickly.
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .torus import TorusSpec, Vertex
-from .words import Word, word_from_flat
 
 DEFAULT_CAP = 32
 HARD_CAP = 64
@@ -38,90 +38,57 @@ def _check_cap(spec: TorusSpec, cap: int | None) -> int:
     return cap
 
 
-def _tables(spec: TorusSpec):
+def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
+    """Arcs of the lexicographically first hamiltonian start->target path, or None.
+
+    Generators are tried in index order.  Before each step, two sweeps must
+    each find every unvisited vertex: forward from the current vertex, never
+    expanding the target (the path enters it last, so a step into it before
+    then finds nothing), and backward from the target.  Neither prune cuts a
+    branch that has a completion, so the witness is the one an unpruned
+    search finds.  They imply the degree checks: each vertex the forward
+    sweep finds has the current vertex or an unvisited non-target one as a
+    predecessor, and each vertex the backward sweep finds has an unvisited
+    successor.
+    """
     verts = list(spec.vertices())
     index = {v: i for i, v in enumerate(verts)}
     out = [tuple(index[spec.add_step(v, g)] for g in range(spec.k)) for v in verts]
-    incoming: list[list[int]] = [[] for _ in verts]
-    for src, succs in enumerate(out):
-        for dst in succs:
-            incoming[dst].append(src)
-    return verts, index, out, [tuple(xs) for xs in incoming]
-
-
-def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex, cycle: bool) -> list[int] | None:
-    """Arc indices of a hamiltonian start->target path (or based cycle), or None.
-
-    Generators are tried in index order, so the witness is deterministic.
-    Pruning: dead-in/dead-out degree checks on the unvisited region, forward
-    reachability of every unvisited vertex from the current one, and
-    backward reachability of the target from every unvisited vertex.
-    """
-    verts, index, out, incoming = _tables(spec)
+    units = [spec.add_step(spec.zero(), g) for g in range(spec.k)]
+    incoming = [tuple(index[spec.subtract(v, e)] for e in units) for v in verts]
     total = len(verts)
-    start_i = index[start]
     target_i = index[target]
     visited = bytearray(total)
-    visited[start_i] = 1
-    path: list[int] = []
+    visited[index[start]] = 1
+    path = bytearray()
 
-    def feasible(cur: int, remaining: int) -> bool:
-        for w in range(total):
-            if visited[w]:
+    def reach(root: int, adjacent, stop: int) -> int:
+        """Unvisited vertices reachable from root via unvisited ones; stop is not expanded."""
+        seen = bytearray(visited)
+        seen[root] = 1
+        stack = [root]
+        found = 0
+        while stack:
+            x = stack.pop()
+            if x == stop:
                 continue
-            if w != target_i or cycle:
-                if not any(
-                    (not visited[y]) or (cycle and y == start_i) for y in out[w]
-                ):
-                    return False
-            if not any(
-                y == cur or (not visited[y] and (cycle or y != target_i))
-                for y in incoming[w]
-            ):
-                return False
-        # forward: every unvisited vertex reachable from cur through unvisited
-        seen = bytearray(total)
-        seen[cur] = 1
-        stack = [cur]
-        found = 0
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if not seen[y] and not visited[y]:
+            for y in adjacent[x]:
+                if not seen[y]:
                     seen[y] = 1
                     found += 1
                     stack.append(y)
-        if found != remaining:
-            return False
-        # backward: every unvisited vertex must reach the target through unvisited
-        seen = bytearray(total)
-        seen[target_i] = 1
-        stack = [target_i]
-        found = 0
-        while stack:
-            x = stack.pop()
-            for y in incoming[x]:
-                if not seen[y] and not visited[y]:
-                    seen[y] = 1
-                    found += 1
-                    stack.append(y)
-        return found == (remaining if cycle else remaining - 1)
+        return found
 
     def dfs(cur: int, remaining: int) -> bool:
         if remaining == 0:
-            if not cycle:
-                return cur == target_i
-            for g, nxt in enumerate(out[cur]):
-                if nxt == start_i:
-                    path.append(g)
-                    return True
-            return False
-        if not feasible(cur, remaining):
+            return cur == target_i
+        if (
+            reach(cur, out, target_i) != remaining
+            or reach(target_i, incoming, -1) != remaining - 1
+        ):
             return False
         for g, nxt in enumerate(out[cur]):
             if visited[nxt]:
-                continue
-            if not cycle and nxt == target_i and remaining > 1:
                 continue
             visited[nxt] = 1
             path.append(g)
@@ -131,22 +98,17 @@ def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex, cycle: bool) -> lis
             path.pop()
         return False
 
-    if not cycle and start_i == target_i:
-        return [] if total == 1 else None
-    if dfs(start_i, total - 1):
-        return path
-    return None
+    return bytes(path) if dfs(index[start], total - 1) else None
 
 
 def ham_path_witness(
     spec: TorusSpec, start: Vertex, target: Vertex, *, cap: int | None = None
-) -> Word | None:
-    """Exhaustive search; a flat witness word if a path exists, else None."""
+) -> bytes | None:
+    """Exhaustive search; the witness arcs if a path exists, else None."""
     _check_cap(spec, cap)
     spec.require_vertex(start)
     spec.require_vertex(target)
-    arcs = _dfs_ham(spec, start, target, cycle=False)
-    return None if arcs is None else word_from_flat(arcs)
+    return _dfs_ham(spec, start, target)
 
 
 def ham_path_exists(
@@ -155,11 +117,19 @@ def ham_path_exists(
     return ham_path_witness(spec, start, target, cap=cap) is not None
 
 
-def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> Word | None:
-    """Exhaustive search for a hamiltonian cycle based at 0."""
+def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> bytes | None:
+    """Arcs of the lexicographically first hamiltonian cycle based at 0, or None.
+
+    It is the first arc g, in index order, from 0 to a vertex x_g with a
+    hamiltonian path back to 0, followed by the first such path.
+    """
     _check_cap(spec, cap)
-    arcs = _dfs_ham(spec, spec.zero(), spec.zero(), cycle=True)
-    return None if arcs is None else word_from_flat(arcs)
+    zero = spec.zero()
+    for g in range(spec.k):
+        arcs = _dfs_ham(spec, spec.add_step(zero, g), zero)
+        if arcs is not None:
+            return bytes((g,)) + arcs
+    return None
 
 
 def ham_cycle_exists_2d(m1: int, m2: int) -> bool:
@@ -215,17 +185,17 @@ def endpoint_set(spec: TorusSpec, start: Vertex, *, cap: int | None = None) -> E
     predicted = tuple(
         v for v in spec.vertices() if v != start and spec.ham_path_congruence_ok(start, v)
     )
-    reachable = tuple(
-        v for v in predicted if ham_path_exists(spec, start, v, cap=cap)
-    )
-    missing = tuple(v for v in predicted if v not in set(reachable))
+    reachable: list[Vertex] = []
+    missing: list[Vertex] = []
+    for v in predicted:
+        (reachable if ham_path_exists(spec, start, v, cap=cap) else missing).append(v)
     return EndpointReport(
         spec=spec,
         start=start,
-        reachable=reachable,
+        reachable=tuple(reachable),
         predicted=predicted,
         agreement=not missing,
-        counterexamples=missing,
+        counterexamples=tuple(missing),
     )
 
 

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
 from torusham import (
@@ -17,6 +21,7 @@ from torusham import (
     Cycle,
     PathCertificate,
 )
+from torusham import oracle
 
 
 def test_ham_path_exists_matches_constructor():
@@ -132,3 +137,63 @@ def test_conjecture_scan_tiny():
         assert set(r.reachable) <= set(r.predicted)
     assert reports[0].agreement and reports[2].agreement
     assert not reports[1].agreement
+
+
+def _unpruned_witness(spec, start, target, *, cycle=False):
+    """Plain DFS with no prunes, generators in index order: the reference."""
+    total = spec.vertex_count
+    arcs, seen = [], {start}
+
+    def dfs(cur):
+        if len(seen) == total:
+            if not cycle:
+                return cur == target
+            closing = [g for g in range(spec.k) if spec.add_step(cur, g) == start]
+            arcs.extend(closing[:1])
+            return bool(closing)
+        for g in range(spec.k):
+            nxt = spec.add_step(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                arcs.append(g)
+                if dfs(nxt):
+                    return True
+                seen.remove(nxt)
+                arcs.pop()
+        return False
+
+    return bytes(arcs) if dfs(start) else None
+
+
+def _small_specs():
+    return [s for k in (1, 2, 3) for s in enumerate_torus_specs(k, 12)]
+
+
+def test_path_witness_matches_the_unpruned_search():
+    # an unsound prune would drop witnesses and report false counterexamples
+    for spec in _small_specs():
+        for start in spec.vertices():
+            for target in spec.vertices():
+                expected = _unpruned_witness(spec, start, target)
+                assert ham_path_witness(spec, start, target) == expected, (
+                    spec.moduli, start, target,
+                )
+
+
+def test_cycle_witness_matches_the_unpruned_search():
+    for spec in _small_specs():
+        expected = _unpruned_witness(spec, spec.zero(), spec.zero(), cycle=True)
+        assert ham_cycle_witness(spec) == expected, spec.moduli
+
+
+def test_oracle_imports_only_the_stdlib_and_the_torus():
+    # the oracle is ground truth for the construction, so it must not share
+    # the construction's code
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module == "torus", ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
