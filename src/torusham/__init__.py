@@ -7,7 +7,7 @@ obstruction otherwise.  The `oracle` module provides independent brute-force
 ground truth on small (possibly mixed-moduli) tori.
 """
 
-from .torus import TorusSpec, Vertex, identity_perm, invert_perm, transposition
+from .torus import TorusSpec, Vertex, identity_perm, transposition
 from .words import (
     Concat,
     ConstructionError,
@@ -28,13 +28,7 @@ from .words import (
     word_to_text,
 )
 from .cycles import (
-    Case,
-    CaseInfo,
-    CaseNotApplicableError,
     any_cycle_power,
-    classify_case,
-    conjugate_cycle,
-    even_distance_cycle_2d,
     even_distance_cycle_power,
     staircase_a,
     staircase_b,
@@ -43,7 +37,6 @@ from .paths import (
     ArcForcingIso,
     Refusal,
     hamiltonian_path,
-    path_from_inner_cycle,
     prism_path_arcs,
 )
 from .oracle import (
@@ -62,9 +55,6 @@ from .oracle import (
 
 __all__ = [
     "ArcForcingIso",
-    "Case",
-    "CaseInfo",
-    "CaseNotApplicableError",
     "Concat",
     "ConstructionError",
     "Cycle",
@@ -81,13 +71,10 @@ __all__ = [
     "Vertex",
     "Word",
     "any_cycle_power",
-    "classify_case",
     "conjecture_scan",
-    "conjugate_cycle",
     "cycle_distance",
     "endpoint_set",
     "enumerate_torus_specs",
-    "even_distance_cycle_2d",
     "even_distance_cycle_power",
     "expand",
     "flat_length",
@@ -97,8 +84,6 @@ __all__ = [
     "ham_path_witness",
     "hamiltonian_path",
     "identity_perm",
-    "invert_perm",
-    "path_from_inner_cycle",
     "prism_path_arcs",
     "staircase_a",
     "staircase_b",

@@ -28,6 +28,28 @@ coordinate, staircase_a sends g to 0^(m-1) (g+1) and staircase_b sends it
 to (g+1) 0^(m-1); _lift applies either one as a single slice assignment, and
 the staircases themselves are the lifts of the m-cycle bytes(n).
 
+even_distance_cycle_power unrolls the induction into a list of levels and
+one loop.  The plan runs outside in: each level above the base moves the
+last nonzero coordinate of its target to the end with a transposition (so
+the inner target, and with it the inner distance d, is nonzero), keeps the
+first coordinate x and goes on with the rest.  The base (i, j) of (Z_m)^2
+takes the first rule that applies:
+
+    j + r even   -> staircase_a, d = j*m + r
+    i + r even   -> staircase_a on the swapped target (j, i), d = i*m + r
+    otherwise    -> staircase_b, d = (j-1)*m + r
+
+The last rule is class (2): with j + r and i + r both odd, j = 0 would give
+r = i and i + r even, and r = 0 would need the even sum of the odd i and j
+to be 0 or the odd m.
+
+Above the base, with r = (x + d) % m, class (3) picks staircase_a and
+d*m + r when d + r is even, and otherwise staircase_b and (d-1)*m + r.  The
+result is the construction as a term: the seed bytes(m), then per level a
+lift offset and an optional transposition.  The loop evaluates it with one
+_lift per level and one bytes.translate per transposition, which relabels
+the arcs so that the distance to the unpermuted target is d.
+
 Cycles are flat bytes of generator indices (Cycle.arcs).  The builders here
 return them unchecked: the tests trace every builder, and the paths module
 traces every certificate it builds from them.
@@ -35,29 +57,8 @@ traces every certificate it builds from them.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
-from .torus import TorusSpec, Perm, Vertex, identity_perm, invert_perm, transposition
+from .torus import TorusSpec, Perm, Vertex, transposition
 from .words import Cycle
-
-
-class Case(enum.Enum):
-    """Which staircase argument applies to a 2-torus target (i, j)."""
-
-    J_PLUS_R_EVEN = "j+r even"
-    J_AND_R_NONZERO = "j and r nonzero"
-    NONE = "no case applies"
-
-
-@dataclass(frozen=True)
-class CaseInfo:
-    tag: Case
-    r: int
-
-
-class CaseNotApplicableError(ValueError):
-    """No staircase case covers the target; the caller must transform it."""
 
 
 # bytes.translate table sending generator g to g + 1
@@ -93,86 +94,18 @@ def staircase_b(m: int, n: int) -> Cycle:
     return Cycle(_staircase_spec(m, n), _lift(bytes(n), m, 0))
 
 
-def classify_case(m: int, n: int, v: Vertex) -> CaseInfo:
-    """Classify target (i, j) on Z_m x Z_n for the staircase arguments.
-
-    Requires m odd and m | n.  Returns the first of cases (1) and (2) that
-    applies.  Case (3) needs no tag of its own: when it holds and (1) fails,
-    r is odd and therefore nonzero, which is case (2).
-    """
-    if m % 2 == 0:
-        raise ValueError(f"classification needs odd m, got {m}")
-    _staircase_spec(m, n)
-    i, j = v
-    if not (0 <= i < m and 0 <= j < n):
-        raise ValueError(f"target {v!r} out of range for Z_{m} x Z_{n}")
-    r = (i + j) % m
-    if (j + r) % 2 == 0:
-        return CaseInfo(Case.J_PLUS_R_EVEN, r)
-    if j != 0 and r != 0:
-        return CaseInfo(Case.J_AND_R_NONZERO, r)
-    return CaseInfo(Case.NONE, r)
-
-
-def _staircase_case(m: int, n: int, v: Vertex) -> tuple[int, int]:
-    """(lift offset, even distance) of the staircase that case (1) or (2) picks."""
-    info = classify_case(m, n, v)
-    j = v[1]
-    r = info.r
-    if info.tag is Case.J_PLUS_R_EVEN:
-        at, dist = m - 1, j * m + r
-    elif info.tag is Case.J_AND_R_NONZERO:
-        at, dist = 0, (j - 1) * m + 1 + (r - 1)
-    else:
-        raise CaseNotApplicableError(
-            f"no staircase case applies to target {v} on Z_{m} x Z_{n} "
-            f"(j={j}, r={r}); transform the target first"
-        )
-    if dist % 2 != 0 or not 0 <= dist < m * n:
-        raise AssertionError(f"distance formula out of range: {dist} for {v}")
-    return at, dist
-
-
-def even_distance_cycle_2d(m: int, n: int, v: Vertex) -> tuple[Cycle, int]:
-    """Staircase cycle on Z_m x Z_n with an even distance from 0 to v.
-
-    Case (1) uses staircase_a with distance j*m + r; case (2) uses
-    staircase_b with distance (j-1)*m + 1 + (r-1).
-    """
-    at, dist = _staircase_case(m, n, v)
-    return Cycle(_staircase_spec(m, n), _lift(bytes(n), m, at)), dist
-
-
 def _arc_table(perm: Perm) -> bytes:
     """bytes.translate table sending generator g to perm[g]."""
     return bytes(perm) + bytes(range(len(perm), 256))
 
 
-def conjugate_cycle(cycle: Cycle, perm: Perm) -> Cycle:
-    """Carry a cycle through the inverse coordinate permutation.
-
-    The result satisfies  distance(result, v) == distance(cycle, perm(v))
-    for every vertex v, so a cycle built for a permuted target turns into
-    one for the original target.
-    """
-    perm = cycle.spec.require_perm(perm)
-    return Cycle(cycle.spec, cycle.arcs.translate(_arc_table(invert_perm(perm))))
-
-
-def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int, Perm]:
+def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int]:
     """Hamiltonian cycle on (Z_m)^n with even distance to v, for odd m >= 3.
 
-    Returns (cycle, distance, perm) where the cycle has the stated even
-    distance from 0 to permute_coords(v, perm); conjugate_cycle(cycle,
-    perm) is then a cycle with that distance to v itself.
-
-    Dimension 2 tries case (1) on (i, j), then on the swapped target (j, i),
-    then falls back to case (2) after ensuring j != 0 by swapping.  Higher
-    dimensions move a nonzero coordinate last (the largest such index),
-    recurse on the tail, and route through case (3): the recursive distance
-    is even and nonzero, so a staircase on Z_m x Z_{m^(n-1)} with even
-    distance to (v_0, inner distance) exists, and the inner cycle is lifted
-    through it.
+    Returns (cycle, distance) with the cycle's distance from 0 to v itself.
+    A zero target with n > 2 takes any_cycle_power at distance 0.  Otherwise
+    a plan is made outside in, the per-level steps inside out, and one loop
+    evaluates them from bytes(m); the module docstring gives the rules.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"even-distance cycles need odd m >= 3, got {m}")
@@ -180,34 +113,46 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int, Pe
         raise ValueError(f"even-distance cycles need dimension n >= 2, got {n}")
     spec = TorusSpec.power(m, n)
     spec.require_vertex(v)
+    if n > 2 and not any(v):
+        return any_cycle_power(m, n), 0
 
-    if n == 2:
-        i, j = v
-        r = (i + j) % m
-        if (j + r) % 2 == 0:
-            cycle, dist = even_distance_cycle_2d(m, m, (i, j))
-            return cycle, dist, identity_perm(2)
-        if (i + r) % 2 == 0:
-            cycle, dist = even_distance_cycle_2d(m, m, (j, i))
-            return cycle, dist, transposition(2, 0, 1)
-        if j != 0:
-            cycle, dist = even_distance_cycle_2d(m, m, (i, j))
-            return cycle, dist, identity_perm(2)
-        cycle, dist = even_distance_cycle_2d(m, m, (j, i))
-        return cycle, dist, transposition(2, 0, 1)
+    # plan, outside in: (first coordinate, transposition or None) per upper level
+    levels = []
+    while len(v) > 2:
+        last = max(idx for idx, c in enumerate(v) if c)
+        perm = None
+        if last < len(v) - 1:
+            perm = transposition(len(v), last, len(v) - 1)
+            v = tuple(v[p] for p in perm)  # a transposition is its own inverse
+        levels.append((v[0], perm))
+        v = v[1:]
 
-    if all(c == 0 for c in v):
-        return any_cycle_power(m, n), 0, identity_perm(n)
+    # steps, inside out: (lift offset, transposition or None) per level
+    i, j = v
+    r = (i + j) % m
+    if (j + r) % 2 == 0:
+        steps, d = [(m - 1, None)], j * m + r
+    elif (i + r) % 2 == 0:
+        steps, d = [(m - 1, (1, 0))], i * m + r
+    else:
+        steps, d = [(0, None)], (j - 1) * m + r
+    for x, perm in reversed(levels):
+        if d % 2 != 0 or d == 0:
+            raise AssertionError(f"inner distance {d} is not even and nonzero")
+        r = (x + d) % m
+        if (d + r) % 2 == 0:
+            steps.append((m - 1, perm))
+            d = d * m + r
+        else:
+            steps.append((0, perm))
+            d = (d - 1) * m + r
 
-    last = max(idx for idx, c in enumerate(v) if c != 0)
-    perm = identity_perm(n) if last == n - 1 else transposition(n, last, n - 1)
-    u = spec.permute_coords(v, perm)
-    inner_raw, inner_dist, inner_perm = even_distance_cycle_power(m, n - 1, u[1:])
-    inner = conjugate_cycle(inner_raw, inner_perm)
-    if inner_dist % 2 != 0 or inner_dist == 0:
-        raise AssertionError(f"inner distance {inner_dist} is not even and nonzero for {u[1:]}")
-    at, dist = _staircase_case(m, m ** (n - 1), (u[0], inner_dist))
-    return Cycle(spec, _lift(inner.arcs, m, at)), dist, perm
+    arcs = bytes(m)
+    for at, perm in steps:
+        arcs = _lift(arcs, m, at)
+        if perm is not None:
+            arcs = arcs.translate(_arc_table(perm))
+    return Cycle(spec, arcs), d
 
 
 def any_cycle_power(m: int, n: int) -> Cycle:

@@ -39,7 +39,6 @@ from .cycles import (
     _any_cycle_distance,
     _arc_table,
     any_cycle_power,
-    conjugate_cycle,
     even_distance_cycle_power,
 )
 
@@ -132,18 +131,6 @@ def _rolled_path(m: int, k: int, inner: Cycle, n: int) -> tuple[bytes, Vertex]:
     return bytes(out), target
 
 
-def path_from_inner_cycle(m: int, k: int, inner: Cycle, n: int) -> PathCertificate:
-    """Certified path from 0 to c_{2n} - x_1, rolling the given subgroup cycle.
-
-    `inner` is a hamiltonian cycle of (Z_m)^(k-1), standing for a cycle
-    c_0, c_1, ... of the zero-sum subgroup through the arc-forcing
-    isomorphism.  Aborts rather than return an unverified certificate.
-    """
-    arcs, target = _rolled_path(m, k, inner, n)
-    cert = expect_path(TorusSpec.power(m, k), (0,) * k, target, arcs)
-    return replace(cert, word=word_from_runs(arcs, 0))
-
-
 @dataclass(frozen=True)
 class Refusal:
     """A certified non-existence answer for the endpoint congruence.
@@ -180,9 +167,12 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     for odd m only about half the admissible endpoints are reachable; use
     the search oracle for k = 2.
 
-    The parity of m picks the inner cycle, its distance and the permutation;
-    one shared tail rolls, relabels and trace-checks the arcs at (u, v), then
-    renders them as the certificate's word.
+    The parity of m picks the inner cycle, its distance and tau.  Odd m
+    takes both from even_distance_cycle_power, with the cycle already
+    carried to the target and tau the identity; even m takes any_cycle_power,
+    its closed-form distance and the tau that moves an odd coordinate to the
+    front.  One shared tail rolls, relabels by tau and trace-checks the arcs
+    at (u, v), then renders them as the certificate's word.
     """
     if m < 2:
         raise ValueError(f"cycle length must be >= 2, got {m}")
@@ -202,8 +192,7 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     if m % 2 == 1:
         tau = identity_perm(k)
         w = diff
-        raw, dist, perm = even_distance_cycle_power(m, k - 1, w[1:])
-        inner = conjugate_cycle(raw, perm)
+        inner, dist = even_distance_cycle_power(m, k - 1, w[1:])
     else:
         # the coordinate sum is odd, so some coordinate is: move the first one to the front
         tau = transposition(k, 0, next(i for i, c in enumerate(diff) if c % 2 == 1))

@@ -65,10 +65,6 @@ class TorusSpec:
     def moduli_gcd(self) -> int:
         return math.gcd(*self.moduli)
 
-    @property
-    def is_equal_power(self) -> bool:
-        return len(set(self.moduli)) == 1
-
     def zero(self) -> Vertex:
         return (0,) * self.k
 
@@ -152,11 +148,4 @@ def identity_perm(k: int) -> Perm:
 def transposition(k: int, a: int, b: int) -> Perm:
     out = list(range(k))
     out[a], out[b] = out[b], out[a]
-    return tuple(out)
-
-
-def invert_perm(perm: Perm) -> Perm:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
     return tuple(out)

@@ -7,3 +7,49 @@ def test_star_import_exports_every_name_in_all():
     assert len(set(torusham.__all__)) == len(torusham.__all__)
     for name in torusham.__all__:
         assert namespace[name] is getattr(torusham, name)
+
+
+def test_public_names_are_pinned():
+    # any change to the public surface shows up as an edit of this list
+    assert sorted(torusham.__all__) == [
+        "ArcForcingIso",
+        "Concat",
+        "ConstructionError",
+        "Cycle",
+        "CycleRejection",
+        "DEFAULT_CAP",
+        "EndpointReport",
+        "HARD_CAP",
+        "PathCertificate",
+        "Power",
+        "Refusal",
+        "SizeCapError",
+        "Symbol",
+        "TorusSpec",
+        "Vertex",
+        "Word",
+        "any_cycle_power",
+        "conjecture_scan",
+        "cycle_distance",
+        "endpoint_set",
+        "enumerate_torus_specs",
+        "even_distance_cycle_power",
+        "expand",
+        "flat_length",
+        "ham_cycle_exists_2d",
+        "ham_cycle_witness",
+        "ham_path_exists",
+        "ham_path_witness",
+        "hamiltonian_path",
+        "identity_perm",
+        "prism_path_arcs",
+        "staircase_a",
+        "staircase_b",
+        "trace",
+        "transposition",
+        "verify_ham_cycle",
+        "verify_ham_path",
+        "word_from_flat",
+        "word_from_text",
+        "word_to_text",
+    ]

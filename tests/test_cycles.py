@@ -3,16 +3,12 @@ import random
 import pytest
 
 from torusham import (
-    Case,
-    CaseNotApplicableError,
     Cycle,
     TorusSpec,
     any_cycle_power,
-    classify_case,
-    conjugate_cycle,
     cycle_distance,
-    even_distance_cycle_2d,
     even_distance_cycle_power,
+    identity_perm,
     staircase_a,
     staircase_b,
     trace,
@@ -20,7 +16,10 @@ from torusham import (
     verify_ham_cycle,
     word_from_flat,
 )
-from torusham.cycles import _any_cycle_distance
+from torusham.cycles import _any_cycle_distance, _arc_table, _lift
+
+# arc relabelling that exchanges generators 0 and 1
+_SWAP = _arc_table((1, 0))
 
 
 def test_staircase_a_examples():
@@ -42,26 +41,23 @@ def test_staircase_b_examples():
 
 
 def test_classify_case_examples():
-    assert classify_case(3, 3, (1, 2)).tag is Case.J_PLUS_R_EVEN
-    assert classify_case(3, 3, (1, 2)).r == 0
-    assert classify_case(3, 9, (0, 1)).tag is Case.J_PLUS_R_EVEN
-    assert classify_case(3, 3, (0, 0)).tag is Case.J_PLUS_R_EVEN
-    assert classify_case(3, 9, (2, 3)).tag is Case.J_AND_R_NONZERO
-    # j = 0 with odd r: nothing applies
-    assert classify_case(3, 3, (1, 0)).tag is Case.NONE
-    with pytest.raises(ValueError, match="odd"):
-        classify_case(2, 2, (0, 0))
+    # the base rule picks staircase_a, staircase_a on swapped coordinates, or staircase_b
+    a, b = staircase_a(3, 3).arcs, staircase_b(3, 3).arcs
+    cases = {(1, 2): (a, 6), (0, 0): (a, 0), (1, 0): (a.translate(_SWAP), 4), (2, 2): (b, 4)}
+    for v, expected in cases.items():
+        cycle, dist = even_distance_cycle_power(3, 2, v)
+        assert (cycle.arcs, dist) == expected, v
 
 
 def test_even_distance_2d_examples():
-    w, d = even_distance_cycle_2d(3, 3, (1, 2))
+    w, d = even_distance_cycle_power(3, 2, (1, 2))
     assert d == 6 and cycle_distance(w, (1, 2)) == 6
-    w, d = even_distance_cycle_2d(3, 9, (2, 3))
-    assert d == 8
-    w, d = even_distance_cycle_2d(5, 5, (0, 0))
+    assert cycle_distance(staircase_b(3, 9), (2, 3)) == 8
+    w, d = even_distance_cycle_power(5, 2, (0, 0))
     assert d == 0
-    with pytest.raises(CaseNotApplicableError):
-        even_distance_cycle_2d(3, 3, (1, 0))
+    # (1, 0) is in neither class (1) nor (2); its swap (0, 1) is in class (1)
+    w, d = even_distance_cycle_power(3, 2, (1, 0))
+    assert d == 4 and cycle_distance(w, (1, 0)) == 4
 
 
 def _r(m, i, j):
@@ -81,36 +77,22 @@ def test_staircase_closed_forms_by_enumeration():
                     assert cycle_distance(b, (i, j)) == expected
 
 
-def test_even_distance_2d_sweep_small():
-    for m, n in [(3, 3), (3, 6), (5, 5)]:
-        for i in range(m):
-            for j in range(n):
-                info = classify_case(m, n, (i, j))
-                if info.tag is Case.NONE:
-                    continue
-                w, d = even_distance_cycle_2d(m, n, (i, j))
-                assert d % 2 == 0
-                assert cycle_distance(w, (i, j)) == d
-
-
 def test_even_distance_power_base_case():
-    w, d, perm = even_distance_cycle_power(3, 2, (1, 2))
-    assert d == 6 and perm == (0, 1)
+    w, d = even_distance_cycle_power(3, 2, (1, 2))
+    assert d == 6 and w.arcs == staircase_a(3, 3).arcs
     assert cycle_distance(w, (1, 2)) == 6
-    w, d, perm = even_distance_cycle_power(3, 2, (0, 0))
+    w, d = even_distance_cycle_power(3, 2, (0, 0))
     assert d == 0
     # (2, 1): j + r = 1 + 0 odd, i + r = 2 + 0 even, so the swap fires
-    w, d, perm = even_distance_cycle_power(3, 2, (2, 1))
-    assert perm == (1, 0)
-    conj = conjugate_cycle(w, perm)
-    assert cycle_distance(conj, (2, 1)) == d and d % 2 == 0
+    w, d = even_distance_cycle_power(3, 2, (2, 1))
+    assert w.arcs == staircase_a(3, 3).arcs.translate(_SWAP)
+    assert cycle_distance(w, (2, 1)) == d and d % 2 == 0
 
 
 def test_even_distance_power_dimension_three():
-    w, d, perm = even_distance_cycle_power(3, 3, (1, 1, 1))
+    w, d = even_distance_cycle_power(3, 3, (1, 1, 1))
     assert w.length == 27 and d % 2 == 0
-    conj = conjugate_cycle(w, perm)
-    assert cycle_distance(conj, (1, 1, 1)) == d
+    assert cycle_distance(w, (1, 1, 1)) == d
 
 
 def test_even_distance_power_rejects_even_m():
@@ -123,17 +105,17 @@ def test_even_distance_power_rejects_even_m():
 def test_even_distance_power_full_sweep_tiny():
     spec = TorusSpec.power(3, 2)
     for v in spec.vertices():
-        w, d, perm = even_distance_cycle_power(3, 2, v)
-        conj = conjugate_cycle(w, perm)
+        w, d = even_distance_cycle_power(3, 2, v)
         assert d % 2 == 0
-        assert cycle_distance(conj, v) == d
+        assert cycle_distance(w, v) == d
 
 
 def test_conjugate_cycle_distance_relation():
+    # relabelling arcs by a transposition carries distances to the permuted target
     inner = staircase_a(3, 3)
     spec = inner.spec
     perm = transposition(2, 0, 1)
-    conj = conjugate_cycle(inner, perm)
+    conj = Cycle(spec, inner.arcs.translate(_arc_table(perm)))
     for v in spec.vertices():
         assert cycle_distance(conj, v) == cycle_distance(inner, spec.permute_coords(v, perm))
 
@@ -162,8 +144,83 @@ def test_even_distance_cycle_power_is_hamiltonian_with_its_distance(m, n):
     if m**n > 243:
         targets = [spec.zero()] + random.Random(10 * m + n).sample(targets, 24)
     for v in targets:
-        cycle, dist, perm = even_distance_cycle_power(m, n, v)
-        conj = conjugate_cycle(cycle, perm)
+        cycle, dist = even_distance_cycle_power(m, n, v)
         assert dist % 2 == 0
-        assert isinstance(verify_ham_cycle(spec, conj.arcs), Cycle)
-        assert cycle_distance(conj, v) == dist
+        assert isinstance(verify_ham_cycle(spec, cycle.arcs), Cycle)
+        assert cycle_distance(cycle, v) == dist
+
+
+# The recursive builder that the plan-and-loop form of even_distance_cycle_power
+# replaced, kept as the reference it must equal byte for byte: each level
+# classifies its 2-dimensional target, recurses and conjugates the inner cycle.
+
+
+def _ref_conjugate(arcs, perm):
+    inverse = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    return arcs.translate(_arc_table(inverse))
+
+
+def _ref_staircase_case(m, v):
+    """(lift offset, even distance) of the staircase that class (1) or (2) picks."""
+    i, j = v
+    r = (i + j) % m
+    if (j + r) % 2 == 0:
+        return m - 1, j * m + r
+    if j != 0 and r != 0:
+        return 0, (j - 1) * m + 1 + (r - 1)
+    raise ValueError(f"no staircase case applies to {v}")
+
+
+def _ref_2d(m, v, perm):
+    at, dist = _ref_staircase_case(m, v)
+    return _lift(bytes(m), m, at), dist, perm
+
+
+def _ref_even_distance_cycle_power(m, n, v):
+    """(arcs, distance, perm): the distance is to v permuted by perm."""
+    if n == 2:
+        i, j = v
+        r = (i + j) % m
+        if (j + r) % 2 == 0:
+            return _ref_2d(m, (i, j), identity_perm(2))
+        if (i + r) % 2 == 0:
+            return _ref_2d(m, (j, i), transposition(2, 0, 1))
+        if j != 0:
+            return _ref_2d(m, (i, j), identity_perm(2))
+        return _ref_2d(m, (j, i), transposition(2, 0, 1))
+    if all(c == 0 for c in v):
+        return any_cycle_power(m, n).arcs, 0, identity_perm(n)
+    last = max(idx for idx, c in enumerate(v) if c != 0)
+    perm = identity_perm(n) if last == n - 1 else transposition(n, last, n - 1)
+    u = TorusSpec.power(m, n).permute_coords(v, perm)
+    inner_raw, inner_dist, inner_perm = _ref_even_distance_cycle_power(m, n - 1, u[1:])
+    assert inner_dist % 2 == 0 and inner_dist != 0
+    at, dist = _ref_staircase_case(m, (u[0], inner_dist))
+    return _lift(_ref_conjugate(inner_raw, inner_perm), m, at), dist, perm
+
+
+def _reference_targets():
+    """Every target up to 2401 vertices, and 100 seeded ones per larger power."""
+    rng = random.Random(0)
+    for m in (3, 5, 7, 9, 11):
+        for n in range(2, 7):
+            if m**n > 20_000:
+                continue
+            if m**n <= 2401:
+                for v in TorusSpec.power(m, n).vertices():
+                    yield m, n, v
+            else:
+                for _ in range(100):
+                    yield m, n, tuple(rng.randrange(m) for _ in range(n))
+
+
+def test_even_distance_cycle_power_matches_the_recursive_reference():
+    checked = 0
+    for m, n, v in _reference_targets():
+        cycle, dist = even_distance_cycle_power(m, n, v)
+        raw, ref_dist, perm = _ref_even_distance_cycle_power(m, n, v)
+        assert (cycle.arcs, dist) == (_ref_conjugate(raw, perm), ref_dist), (m, n, v)
+        checked += 1
+    assert checked == 7419

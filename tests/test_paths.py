@@ -14,7 +14,6 @@ from torusham import (
     TorusSpec,
     expand,
     hamiltonian_path,
-    path_from_inner_cycle,
     prism_path_arcs,
     staircase_a,
     verify_ham_path,
@@ -135,21 +134,26 @@ def test_iso_backward_requires_zero_sum():
         iso.backward((1, 0, 0))
 
 
+def _rolled_certificate(m, k, inner, n):
+    arcs, target = paths._rolled_path(m, k, inner, n)
+    return verify_ham_path(TorusSpec.power(m, k), (0,) * k, target, arcs)
+
+
 def test_path_from_inner_cycle_k2():
     inner = verify_ham_cycle(TorusSpec.power(3, 1), Power(Symbol(0), 3))
     assert isinstance(inner, Cycle)
-    cert = path_from_inner_cycle(3, 2, inner, 1)
+    cert = _rolled_certificate(3, 2, inner, 1)
     assert cert.verified and cert.length == 8
     assert cert.target == (0, 2)
 
 
 def test_path_from_inner_cycle_n_zero_targets_minus_x1():
-    cert = path_from_inner_cycle(3, 3, staircase_a(3, 3), 0)
+    cert = _rolled_certificate(3, 3, staircase_a(3, 3), 0)
     assert cert.verified and cert.target == (2, 0, 0)
 
 
 def test_path_from_inner_cycle_even_m():
-    cert = path_from_inner_cycle(2, 3, staircase_a(2, 2), 1)
+    cert = _rolled_certificate(2, 3, staircase_a(2, 2), 1)
     assert cert.verified and cert.length == 7
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from torusham import TorusSpec, identity_perm, invert_perm, transposition
+from torusham import TorusSpec, identity_perm, transposition
 
 
 def test_moduli_validation():
@@ -29,8 +29,6 @@ def test_power_constructor():
     spec = TorusSpec.power(3, 4)
     assert spec.moduli == (3, 3, 3, 3)
     assert spec.vertex_count == 81
-    assert spec.is_equal_power
-    assert not TorusSpec((2, 3)).is_equal_power
 
 
 def test_add_step_examples():
@@ -74,8 +72,7 @@ def test_permute_coords_examples():
 
 def test_perm_helpers():
     assert transposition(4, 1, 3) == (0, 3, 2, 1)
-    assert invert_perm((1, 2, 0)) == (2, 0, 1)
-    assert invert_perm(identity_perm(5)) == identity_perm(5)
+    assert identity_perm(3) == (0, 1, 2)
 
 
 SPEC = TorusSpec((3, 4, 2))
