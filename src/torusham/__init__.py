@@ -34,7 +34,6 @@ from .cycles import (
     staircase_b,
 )
 from .paths import (
-    ArcForcingIso,
     Refusal,
     hamiltonian_path,
     prism_path_arcs,
@@ -44,7 +43,6 @@ from .oracle import (
     HARD_CAP,
     EndpointReport,
     SizeCapError,
-    conjecture_scan,
     endpoint_set,
     enumerate_torus_specs,
     ham_cycle_exists_2d,
@@ -54,7 +52,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "ArcForcingIso",
     "Concat",
     "ConstructionError",
     "Cycle",
@@ -71,7 +68,6 @@ __all__ = [
     "Vertex",
     "Word",
     "any_cycle_power",
-    "conjecture_scan",
     "cycle_distance",
     "endpoint_set",
     "enumerate_torus_specs",

@@ -153,6 +153,11 @@ def cmd_construct(args) -> int:
     try:
         start = parse_vertex(args.from_, args.k) if args.from_ else (0,) * args.k
         target = parse_vertex(args.to, args.k)
+        # the cap is checked before anything is built, so it also beats a refusal
+        if args.format == "dot" and args.m**args.k > DOT_VERTEX_LIMIT:
+            raise ValueError(
+                f"dot export is capped at {DOT_VERTEX_LIMIT} vertices, got {args.m**args.k}"
+            )
         outcome = hamiltonian_path(args.m, args.k, start, target)
     except (ValueError, MemoryError) as exc:
         return _error(exc)
@@ -167,13 +172,6 @@ def cmd_construct(args) -> int:
         for v in trace(outcome.spec, outcome.start, outcome.arcs):
             print(",".join(map(str, v)))
     elif args.format == "dot":
-        if outcome.spec.vertex_count > DOT_VERTEX_LIMIT:
-            print(
-                f"error: dot export is capped at {DOT_VERTEX_LIMIT} vertices, "
-                f"got {outcome.spec.vertex_count}",
-                file=sys.stderr,
-            )
-            return 1
         _emit_dot(outcome, sys.stdout)
     return 0
 

@@ -28,12 +28,17 @@ coordinate, staircase_a sends g to 0^(m-1) (g+1) and staircase_b sends it
 to (g+1) 0^(m-1); _lift applies either one as a single slice assignment, and
 the staircases themselves are the lifts of the m-cycle bytes(n).
 
-even_distance_cycle_power unrolls the induction into a list of levels and
-one loop.  The plan runs outside in: each level above the base moves the
-last nonzero coordinate of its target to the end with a transposition (so
-the inner target, and with it the inner distance d, is nonzero), keeps the
-first coordinate x and goes on with the rest.  The base (i, j) of (Z_m)^2
-takes the first rule that applies:
+Every power cycle here is a plan of levels evaluated by one loop,
+_lift_chain: the seed bytes(m), then per level a lift offset and an
+optional transposition.  any_cycle_power takes staircase_a at every level
+and no transposition.  even_distance_cycle_power unrolls the induction into
+such a plan.  It runs outside in: each level above the base moves the last
+nonzero coordinate of its target to the end with a transposition (so the
+inner target, and with it the inner distance d, is nonzero), keeps the
+first coordinate x and goes on with the rest.  A zero target has no
+nonzero coordinate, transposes nothing and ends at staircase_a levels with
+d = 0 all the way up.  The base (i, j) of (Z_m)^2 takes the first rule
+that applies:
 
     j + r even   -> staircase_a, d = j*m + r
     i + r even   -> staircase_a on the swapped target (j, i), d = i*m + r
@@ -45,10 +50,9 @@ to be 0 or the odd m.
 
 Above the base, with r = (x + d) % m, class (3) picks staircase_a and
 d*m + r when d + r is even, and otherwise staircase_b and (d-1)*m + r.  The
-result is the construction as a term: the seed bytes(m), then per level a
-lift offset and an optional transposition.  The loop evaluates it with one
-_lift per level and one bytes.translate per transposition, which relabels
-the arcs so that the distance to the unpermuted target is d.
+loop evaluates the levels inside out with one _lift per level and one
+bytes.translate per transposition, which relabels the arcs so that the
+distance to the unpermuted target is d.
 
 Cycles are flat bytes of generator indices (Cycle.arcs).  The builders here
 return them unchecked: the tests trace every builder, and the paths module
@@ -99,13 +103,67 @@ def _arc_table(perm: Perm) -> bytes:
     return bytes(perm) + bytes(range(len(perm), 256))
 
 
+def _lift_chain(m: int, levels) -> bytes:
+    """Evaluate a plan of levels from the m-cycle bytes(m).
+
+    Level i (from 0) lifts the arcs by _lift at its offset into dimension
+    i + 2, then relabels them by its transposition (a pair of generators)
+    when it has one.
+    """
+    arcs = bytes(m)
+    for dim, (at, swap) in enumerate(levels, start=2):
+        arcs = _lift(arcs, m, at)
+        if swap is not None:
+            arcs = arcs.translate(_arc_table(transposition(dim, *swap)))
+    return arcs
+
+
+def _even_distance_levels(m: int, v: Vertex) -> tuple[tuple, int]:
+    """(levels, distance) of the even-distance cycle to v, for odd m and len(v) >= 2.
+
+    The plan runs outside in and the levels come out inside out, for
+    _lift_chain; the module docstring gives the rules.  A zero target never
+    transposes and takes staircase_a at every level, at distance 0.
+    """
+    # outside in: (first coordinate, transposition or None) per upper level
+    uppers = []
+    while len(v) > 2:
+        last = max((idx for idx, c in enumerate(v) if c), default=len(v) - 1)
+        swap = None
+        if last < len(v) - 1:
+            swap = (last, len(v) - 1)
+            v = tuple(v[p] for p in transposition(len(v), *swap))  # its own inverse
+        uppers.append((v[0], swap))
+        v = v[1:]
+
+    # inside out: (lift offset, transposition or None) per level
+    i, j = v
+    r = (i + j) % m
+    if (j + r) % 2 == 0:
+        levels, d = [(m - 1, None)], j * m + r
+    elif (i + r) % 2 == 0:
+        levels, d = [(m - 1, (0, 1))], i * m + r
+    else:
+        levels, d = [(0, None)], (j - 1) * m + r
+    for x, swap in reversed(uppers):
+        # only a zero target has inner distance 0, and it stays on staircase_a
+        if d % 2 != 0 or (d == 0 and x != 0):
+            raise AssertionError(f"inner distance {d} is odd, or 0 under x = {x}")
+        r = (x + d) % m
+        if (d + r) % 2 == 0:
+            levels.append((m - 1, swap))
+            d = d * m + r
+        else:
+            levels.append((0, swap))
+            d = (d - 1) * m + r
+    return tuple(levels), d
+
+
 def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int]:
     """Hamiltonian cycle on (Z_m)^n with even distance to v, for odd m >= 3.
 
-    Returns (cycle, distance) with the cycle's distance from 0 to v itself.
-    A zero target with n > 2 takes any_cycle_power at distance 0.  Otherwise
-    a plan is made outside in, the per-level steps inside out, and one loop
-    evaluates them from bytes(m); the module docstring gives the rules.
+    Returns (cycle, distance) with the cycle's distance from 0 to v itself:
+    _even_distance_levels plans the levels and _lift_chain evaluates them.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"even-distance cycles need odd m >= 3, got {m}")
@@ -113,46 +171,8 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int]:
         raise ValueError(f"even-distance cycles need dimension n >= 2, got {n}")
     spec = TorusSpec.power(m, n)
     spec.require_vertex(v)
-    if n > 2 and not any(v):
-        return any_cycle_power(m, n), 0
-
-    # plan, outside in: (first coordinate, transposition or None) per upper level
-    levels = []
-    while len(v) > 2:
-        last = max(idx for idx, c in enumerate(v) if c)
-        perm = None
-        if last < len(v) - 1:
-            perm = transposition(len(v), last, len(v) - 1)
-            v = tuple(v[p] for p in perm)  # a transposition is its own inverse
-        levels.append((v[0], perm))
-        v = v[1:]
-
-    # steps, inside out: (lift offset, transposition or None) per level
-    i, j = v
-    r = (i + j) % m
-    if (j + r) % 2 == 0:
-        steps, d = [(m - 1, None)], j * m + r
-    elif (i + r) % 2 == 0:
-        steps, d = [(m - 1, (1, 0))], i * m + r
-    else:
-        steps, d = [(0, None)], (j - 1) * m + r
-    for x, perm in reversed(levels):
-        if d % 2 != 0 or d == 0:
-            raise AssertionError(f"inner distance {d} is not even and nonzero")
-        r = (x + d) % m
-        if (d + r) % 2 == 0:
-            steps.append((m - 1, perm))
-            d = d * m + r
-        else:
-            steps.append((0, perm))
-            d = (d - 1) * m + r
-
-    arcs = bytes(m)
-    for at, perm in steps:
-        arcs = _lift(arcs, m, at)
-        if perm is not None:
-            arcs = arcs.translate(_arc_table(perm))
-    return Cycle(spec, arcs), d
+    levels, d = _even_distance_levels(m, v)
+    return Cycle(spec, _lift_chain(m, levels)), d
 
 
 def any_cycle_power(m: int, n: int) -> Cycle:
@@ -164,11 +184,7 @@ def any_cycle_power(m: int, n: int) -> Cycle:
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    spec = TorusSpec.power(m, n)
-    arcs = bytes(m)
-    for _ in range(n - 1):
-        arcs = _lift(arcs, m, m - 1)
-    return Cycle(spec, arcs)
+    return Cycle(TorusSpec.power(m, n), _lift_chain(m, ((m - 1, None),) * (n - 1)))
 
 
 def _any_cycle_distance(m: int, v: Vertex) -> int:

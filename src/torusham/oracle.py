@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .torus import TorusSpec, Vertex
 
@@ -218,19 +218,3 @@ def enumerate_torus_specs(k: int, max_vertices: int) -> Iterator[TorusSpec]:
 
     yield from rec([], 2, max_vertices)
 
-
-def conjecture_scan(
-    specs: Sequence[TorusSpec], *, cap: int | None = None
-) -> list[EndpointReport]:
-    """Endpoint reports from 0 for each spec; any disagreement is a finding.
-
-    Each spec needs k >= 3.  A report with agreement=False means a
-    congruence-predicted endpoint is unreachable, i.e. a counterexample to
-    sufficiency on mixed moduli; callers should surface it loudly.
-    """
-    reports = []
-    for spec in specs:
-        if spec.k < 3:
-            raise ValueError(f"conjecture scan needs k >= 3 coordinates, got {spec.moduli}")
-        reports.append(endpoint_set(spec, spec.zero(), cap=cap))
-    return reports

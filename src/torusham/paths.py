@@ -17,66 +17,34 @@ a -> x_1 and the i-th b -> x_1 + (c_{i+1} - c_i) lands the rolled path at
 c_{2n} - x_1 = w.  The b arcs sit at fixed offsets of each m-arc block, so
 the substitution is a few slice assignments of the shifted inner arcs.
 
-The parity of m only picks the inner cycle.  For odd m the parity-targeted
-cycles come from the cycles module.  For even m any hamiltonian cycle of H
-works: arcs of Cay(H; S - x_1) lower the first coordinate by one, so
-first-coordinate parity bipartitions H and forces the distance to w + x_1
-even once a transposition tau moves an odd coordinate of w to the front
-(the rolled arcs are relabelled back by tau); its distance has a closed
-form.  Either way the inner cycle is not traced: walking its first 2n arcs
-checks the distance, and the certificate bytes are traced once, from u to
-v, before they are rendered as a run-length tree.
+The construction is a Term of O(k) integers, made by plan and evaluated by
+evaluate.  plan is pure integer arithmetic: it validates, refuses on the
+congruence, and picks tau, the inner cycle's levels for the cycles module's
+lift chain, and n.  The parity of m only picks the levels.  For odd m the
+parity-targeted levels come from the cycles module.  For even m any
+hamiltonian cycle of H works: arcs of Cay(H; S - x_1) lower the first
+coordinate by one, so first-coordinate parity bipartitions H and forces the
+distance to w + x_1 even once a transposition tau moves an odd coordinate
+of w to the front (the rolled arcs are relabelled back by tau); so the
+levels are staircase_a's, whose distance has a closed form.  evaluate is
+the only code that builds arcs.  It does not trace the inner cycle: walking
+its first 2n arcs checks that they end at w[1:].  The certificate bytes are
+traced once, from u to v, before they are rendered as a run-length tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .torus import TorusSpec, Vertex, identity_perm, transposition
-from .words import Cycle, PathCertificate, _walk, expect_path, word_from_runs
+from .torus import Perm, TorusSpec, Vertex, identity_perm, transposition
+from .words import PathCertificate, _walk, expect_path, word_from_runs
 from .cycles import (
     _SHIFT,
     _any_cycle_distance,
     _arc_table,
-    any_cycle_power,
-    even_distance_cycle_power,
+    _even_distance_levels,
+    _lift_chain,
 )
-
-
-@dataclass(frozen=True)
-class ArcForcingIso:
-    """Isomorphism between (Z_m)^(k-1) and the zero-sum subgroup of (Z_m)^k.
-
-    forward sends w to sum_i w_i (x_{i+2} - x_1), i.e. the zero-sum vertex
-    (-sum(w), w_1, ..., w_{k-1}); backward drops the first coordinate.  The
-    i-th generator of the small torus corresponds to the arc label
-    x_{i+2} - x_1 of the subgroup digraph.
-    """
-
-    m: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.k < 2:
-            raise ValueError(f"need m >= 2 and k >= 2, got m={self.m}, k={self.k}")
-
-    @property
-    def inner_spec(self) -> TorusSpec:
-        return TorusSpec.power(self.m, self.k - 1)
-
-    @property
-    def outer_spec(self) -> TorusSpec:
-        return TorusSpec.power(self.m, self.k)
-
-    def forward(self, w: Vertex) -> Vertex:
-        self.inner_spec.require_vertex(w)
-        return ((-sum(w)) % self.m,) + tuple(w)
-
-    def backward(self, h: Vertex) -> Vertex:
-        self.outer_spec.require_vertex(h)
-        if sum(h) % self.m != 0:
-            raise ValueError(f"{h} is not a zero-sum vertex mod {self.m}")
-        return tuple(h[1:])
 
 
 def prism_path_arcs(m: int, N: int, n: int) -> bytes:
@@ -99,23 +67,18 @@ def prism_path_arcs(m: int, N: int, n: int) -> bytes:
     )
 
 
-def _rolled_path(m: int, k: int, inner: Cycle, n: int) -> tuple[bytes, Vertex]:
-    """Flat arcs and target of the rolled path, without verification.
+def _roll(m: int, inner: bytes, n: int) -> bytes:
+    """Flat arcs of the rolled path, without verification.
 
-    Substitutes the inner cycle into prism_path_arcs: each a becomes
+    Substitutes the inner arcs into prism_path_arcs: each a becomes
     generator 0, and the i-th b becomes inner arc i mod N, plus 1.  The b
     arcs sit at offsets m-2 and m-1 of the n turnback blocks at either end,
     at offset m-2 of the blocks between them, and last.
     """
-    iso = ArcForcingIso(m, k)
-    if inner.spec != iso.inner_spec:
-        raise ValueError(
-            f"inner cycle lives on {inner.spec.moduli}, expected {(m,) * (k - 1)}"
-        )
-    N = len(inner.arcs)
+    N = len(inner)
     if not 0 <= n < N / 2:
         raise ValueError(f"n must satisfy 0 <= n < N/2 = {N / 2}, got {n}")
-    shifted = inner.arcs.translate(_SHIFT)
+    shifted = inner.translate(_SHIFT)
     seq = shifted + shifted[: 2 * n]
     out = bytearray(m * N - 1)
     base = (N - n - 1) * m
@@ -125,10 +88,7 @@ def _rolled_path(m: int, k: int, inner: Cycle, n: int) -> tuple[bytes, Vertex]:
     out[base + m - 2 : base + n * m : m] = seq[N - 1 : N - 1 + 2 * n : 2]
     out[base + m - 1 : base + n * m : m] = seq[N : N - 1 + 2 * n : 2]
     out[-1] = seq[N - 1 + 2 * n]
-    _, inner_2n = _walk(iso.inner_spec, inner.base, inner.arcs[: 2 * n])
-    c_2n = iso.forward(inner_2n)
-    target = iso.outer_spec.subtract(c_2n, (1,) + (0,) * (k - 1))
-    return bytes(out), target
+    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -157,22 +117,33 @@ class Refusal:
         )
 
 
-def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | Refusal:
-    """Certified hamiltonian path from u to v in (Z_m)^k, or a refusal.
+@dataclass(frozen=True)
+class Term:
+    """The construction of a path from 0 to the relative target, as O(k) integers.
 
-    Outcomes are a trichotomy: a verified PathCertificate, a Refusal when
-    the endpoint congruence sum(v - u) = -1 (mod m) fails (in which case no
-    path exists), or an exception for unusable inputs.  k = 2 is not built
-    yet and is rejected: the paper's converse holds there for even m, while
-    for odd m only about half the admissible endpoints are reachable; use
-    the search oracle for k = 2.
+    `levels` is the inner cycle of (Z_m)^(k-1) as a lift chain: per level a
+    lift offset and an optional transposition (a pair of generators).  Its
+    first 2n arcs end at w[1:].  Rolled, the inner cycle gives a path from 0
+    to `w`, and relabelled by the transposition or identity `tau` a path
+    from 0 to v - u, which is `w` with two coordinates exchanged by tau.
+    """
 
-    The parity of m picks the inner cycle, its distance and tau.  Odd m
-    takes both from even_distance_cycle_power, with the cycle already
-    carried to the target and tau the identity; even m takes any_cycle_power,
-    its closed-form distance and the tau that moves an odd coordinate to the
-    front.  One shared tail rolls, relabels by tau and trace-checks the arcs
-    at (u, v), then renders them as the certificate's word.
+    m: int
+    k: int
+    levels: tuple[tuple[int, tuple[int, int] | None], ...]
+    n: int
+    tau: Perm
+    w: Vertex
+
+
+def plan(m: int, k: int, u: Vertex, v: Vertex) -> Term | Refusal:
+    """The Term for a path from u to v in (Z_m)^k, or the Refusal.
+
+    Pure integer arithmetic on O(k) numbers: it validates the inputs like
+    hamiltonian_path and allocates nothing of size m^k.  Odd m takes the
+    even-distance levels and tau the identity; even m takes staircase_a at
+    every level, its closed-form distance and the tau that moves an odd
+    coordinate to the front.
     """
     if m < 2:
         raise ValueError(f"cycle length must be >= 2, got {m}")
@@ -184,25 +155,55 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     spec = TorusSpec.power(m, k)
     spec.require_vertex(u)
     spec.require_vertex(v)
+    # translation by u is an automorphism: a word from 0 to v - u runs from u to v
     diff = spec.subtract(v, u)
     residue = spec.residue_sum(diff, m)
     if residue != m - 1:
         return Refusal(spec, u, v, residue, m - 1)
-    # translation by u is an automorphism: a word from 0 to v - u runs from u to v
     if m % 2 == 1:
-        tau = identity_perm(k)
-        w = diff
-        inner, dist = even_distance_cycle_power(m, k - 1, w[1:])
+        tau, w = identity_perm(k), diff
+        levels, dist = _even_distance_levels(m, w[1:])
     else:
         # the coordinate sum is odd, so some coordinate is: move the first one to the front
         tau = transposition(k, 0, next(i for i, c in enumerate(diff) if c % 2 == 1))
-        w = spec.permute_coords(diff, tau)
-        inner = any_cycle_power(m, k - 1)
-        dist = _any_cycle_distance(m, w[1:])
+        w = tuple(diff[p] for p in tau)  # a transposition is its own inverse
+        levels, dist = ((m - 1, None),) * (k - 2), _any_cycle_distance(m, w[1:])
     if dist % 2 != 0:
         raise AssertionError(f"cycle distance {dist} to {w[1:]} is odd")
-    arcs, target = _rolled_path(m, k, inner, dist // 2)
-    if target != w:
-        raise AssertionError(f"constructed endpoint {target} != permuted target {w}")
-    arcs = arcs.translate(_arc_table(tau))
-    return replace(expect_path(spec, u, v, arcs), word=word_from_runs(arcs, tau[0]))
+    return Term(m, k, levels, dist // 2, tau, w)
+
+
+def evaluate(term: Term) -> bytes:
+    """The arcs of a term's path from 0, relabelled by tau; the only arc builder.
+
+    The inner cycle is not traced: walking its first 2n arcs checks that
+    they end at w[1:], which puts the rolled path's end at the target.
+    """
+    m, k, n = term.m, term.k, term.n
+    inner = _lift_chain(m, term.levels)
+    _, end = _walk(TorusSpec.power(m, k - 1), (0,) * (k - 1), inner[: 2 * n])
+    if end != term.w[1:]:
+        raise AssertionError(f"inner cycle reaches {end} after {2 * n} arcs, not {term.w[1:]}")
+    return _roll(m, inner, n).translate(_arc_table(term.tau))
+
+
+def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | Refusal:
+    """Certified hamiltonian path from u to v in (Z_m)^k, or a refusal.
+
+    Outcomes are a trichotomy: a verified PathCertificate, a Refusal when
+    the endpoint congruence sum(v - u) = -1 (mod m) fails (in which case no
+    path exists), or an exception for unusable inputs.  k = 2 is not built
+    yet and is rejected: the paper's converse holds there for even m, while
+    for odd m only about half the admissible endpoints are reachable; use
+    the search oracle for k = 2.
+
+    plan makes the term or the refusal, evaluate builds its arcs, and one
+    trace checks them at (u, v) before they are rendered as the
+    certificate's word.
+    """
+    term = plan(m, k, u, v)
+    if isinstance(term, Refusal):
+        return term
+    arcs = evaluate(term)
+    cert = expect_path(TorusSpec.power(m, k), u, v, arcs)
+    return replace(cert, word=word_from_runs(arcs, term.tau[0]))

@@ -109,6 +109,14 @@ def test_dot_format_size_cap():
     assert "dot export" in built.stderr
 
 
+def test_dot_format_size_cap_comes_before_construction(monkeypatch, capsys):
+    # nothing is built past the cap, so an over-cap refused target is an error, not a refusal
+    monkeypatch.setattr(cli, "hamiltonian_path", lambda *args: pytest.fail("built past the cap"))
+    argv = ["construct", "--m", "3", "--k", "7", "--to", "0,0,0,0,0,0,0", "--format", "dot"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: dot export is capped at 512 vertices, got 2187\n"
+
+
 def test_verify_tampered_word_exit_2():
     built = run("construct", "--m", "3", "--k", "3", "--to", "2,0,0")
     record = json.loads(built.stdout)

@@ -1,12 +1,14 @@
+import hashlib
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from torusham import (
-    ArcForcingIso,
     PathCertificate,
     Power,
     Refusal,
@@ -16,11 +18,13 @@ from torusham import (
     hamiltonian_path,
     prism_path_arcs,
     staircase_a,
+    trace,
     verify_ham_path,
     verify_ham_cycle,
     Cycle,
 )
 from torusham import paths, words
+from torusham.cli import certificate_record
 from torusham.words import expect_path
 
 
@@ -100,43 +104,17 @@ def test_rolled_path_matches_the_substitution_reference():
         for k in range(2, 5):
             spec = TorusSpec.power(m, k - 1)
             # arbitrary arcs, not a cycle: the roll must place every arc, whatever it is
-            inner = Cycle(spec, bytes(rng.randrange(k - 1) for _ in range(spec.vertex_count)))
+            inner = bytes(rng.randrange(k - 1) for _ in range(spec.vertex_count))
             for n in range((spec.vertex_count + 1) // 2):
-                arcs, _ = paths._rolled_path(m, k, inner, n)
-                assert arcs == _roll_reference(m, k, inner.arcs, n)
-
-
-def test_iso_round_trip_and_generators():
-    for m, k in [(2, 3), (3, 3), (5, 4), (4, 5)]:
-        iso = ArcForcingIso(m, k)
-        for w in itertools.product(range(m), repeat=k - 1):
-            h = iso.forward(w)
-            assert sum(h) % m == 0
-            assert iso.backward(h) == w
-
-
-def test_iso_is_digraph_isomorphism():
-    # forward(w + e_g) - forward(w) is the arc label x_{g+2} - x_1
-    for m, k in [(3, 3), (5, 3), (2, 4), (3, 5)]:
-        iso = ArcForcingIso(m, k)
-        inner = iso.inner_spec
-        outer = iso.outer_spec
-        x_1 = (1,) + (0,) * (k - 1)
-        for w in itertools.product(range(m), repeat=k - 1):
-            for g in range(k - 1):
-                stepped = iso.forward(inner.add_step(w, g))
-                assert stepped == outer.subtract(outer.add_step(iso.forward(w), g + 1), x_1)
-
-
-def test_iso_backward_requires_zero_sum():
-    iso = ArcForcingIso(3, 3)
-    with pytest.raises(ValueError, match="zero-sum"):
-        iso.backward((1, 0, 0))
+                assert paths._roll(m, inner, n) == _roll_reference(m, k, inner, n)
 
 
 def _rolled_certificate(m, k, inner, n):
-    arcs, target = paths._rolled_path(m, k, inner, n)
-    return verify_ham_path(TorusSpec.power(m, k), (0,) * k, target, arcs)
+    # the rolled path ends at c - x_1 in the zero-sum coordinates, where c is
+    # the end of the first 2n inner arcs
+    c = list(trace(inner.spec, inner.base, inner.arcs[: 2 * n]))[-1]
+    target = ((-1 - sum(c)) % m, *c)
+    return verify_ham_path(TorusSpec.power(m, k), (0,) * k, target, paths._roll(m, inner.arcs, n))
 
 
 def test_path_from_inner_cycle_k2():
@@ -224,6 +202,8 @@ def test_certificate_word_renders_the_walked_arcs():
     # the trace walks cert.arcs; the word is only a rendering, so it must expand to them
     configs = [(m, k) for k in (3, 4, 5) for m in range(2, 10) if m**k <= 4096]
     certified = 0
+    # the records of acceptance criterion 1, one JSON line each, pinned by digest
+    digest = hashlib.sha256()
     for m, k in configs:
         spec = TorusSpec.power(m, k)
         for v in spec.vertices():
@@ -232,8 +212,41 @@ def test_certificate_word_renders_the_walked_arcs():
             cert = hamiltonian_path(m, k, spec.zero(), v)
             assert type(cert.arcs) is bytes and len(cert.arcs) == m**k - 1
             assert expand(cert.word) == list(cert.arcs)
+            digest.update(json.dumps(certificate_record(cert)).encode() + b"\n")
             certified += 1
-    assert certified == sum(m ** (k - 1) for m, k in configs)
+    assert certified == sum(m ** (k - 1) for m, k in configs) == 2557
+    assert digest.hexdigest() == (
+        "019734814e97eb84c7a357ba5e2c2e0b9e2c6189aa30a68e231049272c6c3eb4"
+    )
+
+
+@pytest.mark.parametrize("m, k", [(3, 30), (4, 25)])
+def test_plan_is_pure_arithmetic(m, k):
+    # 2*10^14 and 10^15 vertices: anything of size m^k would blow the budget
+    rng = random.Random(m * k)
+    rest = tuple(rng.randrange(m) for _ in range(k - 1))
+    v = ((m - 1 - sum(rest)) % m, *rest)
+    tracemalloc.start()
+    try:
+        term = paths.plan(m, k, (0,) * k, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(term, paths.Term) and len(term.levels) == k - 2
+    assert peak < 64 * 1024
+
+
+def test_plan_refuses_like_hamiltonian_path():
+    for m, k in [(2, 3), (3, 3), (4, 3), (3, 4)]:
+        spec = TorusSpec.power(m, k)
+        u = tuple(i % m for i in range(k))
+        refused = 0
+        for v in spec.vertices():
+            got = paths.plan(m, k, u, v)
+            if isinstance(got, Refusal):
+                assert got == hamiltonian_path(m, k, u, v)
+                refused += 1
+        assert refused == spec.vertex_count - m ** (k - 1)
 
 
 def test_hamiltonian_path_dispatch_and_translation():
