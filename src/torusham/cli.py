@@ -14,16 +14,7 @@ import os
 import sys
 
 from .torus import TorusSpec, Vertex
-from .words import (
-    PathCertificate,
-    Word,
-    _checked_flat,
-    trace,
-    verify_ham_path,
-    word_from_flat,
-    word_from_text,
-    word_to_text,
-)
+from .words import PathCertificate, _checked_flat, trace, verify_ham_path
 from .paths import Refusal, hamiltonian_path
 from .oracle import (
     DEFAULT_CAP,
@@ -69,13 +60,11 @@ def parse_moduli(text: str) -> tuple[int, ...]:
 
 
 def certificate_record(cert: PathCertificate) -> dict:
-    # a claim verified from flat arcs gets its tree only here
-    word = cert.word if cert.word is not None else word_from_flat(cert.arcs)
     return {
         "moduli": list(cert.spec.moduli),
         "from": list(cert.start),
         "to": list(cert.target),
-        "word": {"nested": word_to_text(word)},
+        "word": {"nested": cert.text},
         "verified": cert.verified,
         "length": cert.length,
     }
@@ -92,19 +81,24 @@ def endpoint_record(report: EndpointReport) -> dict:
     }
 
 
-def word_from_record(value) -> Word | list[int]:
-    """The word of a record: a tree for nested text, a checked list for a flat array."""
+def word_from_record(value) -> str | list[int]:
+    """The word of a record: its nested text as is, or a checked list for a flat array.
+
+    verify_ham_path parses the text, once the spec gives it a length budget.
+    """
     if isinstance(value, dict):
-        for key, kind, parse in (("nested", str, word_from_text), ("flat", list, _checked_flat)):
+        for key, kind in (("nested", str), ("flat", list)):
             if key in value:
                 if not isinstance(value[key], kind):
                     raise ValueError(f"word entry {key!r} must be a {kind.__name__}")
-                return parse(value[key])
-        raise ValueError("word object needs a 'nested' or 'flat' entry")
+                value = value[key]
+                break
+        else:
+            raise ValueError("word object needs a 'nested' or 'flat' entry")
     if isinstance(value, list):
         return _checked_flat(value)
     if isinstance(value, str):
-        return word_from_text(value)
+        return value
     raise ValueError(f"cannot read a word from {type(value).__name__}")
 
 
@@ -167,7 +161,7 @@ def cmd_construct(args) -> int:
     if args.format == "json":
         print(json.dumps(certificate_record(outcome)))
     elif args.format == "word":
-        print(word_to_text(outcome.word))
+        print(outcome.text)
     elif args.format == "vertices":
         for v in trace(outcome.spec, outcome.start, outcome.arcs):
             print(",".join(map(str, v)))
@@ -193,7 +187,7 @@ def cmd_verify(args) -> int:
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError:
-            word = word_from_text(raw)
+            word = raw
         else:
             if isinstance(payload, dict):
                 word = word_from_record(payload.get("word", payload))
@@ -216,7 +210,7 @@ def cmd_verify(args) -> int:
         target = parse_vertex(target_text, spec.k)
         cert = verify_ham_path(spec, start, target, word)
     except (OSError, ValueError, RecursionError, MemoryError) as exc:
-        # OSError: an unreadable --file; RecursionError: JSON or word nesting too deep
+        # OSError: an unreadable --file; RecursionError: JSON nesting too deep
         return _error(exc)
     if cert.verified:
         print(json.dumps(certificate_record(cert)))

@@ -29,7 +29,8 @@ of w to the front (the rolled arcs are relabelled back by tau); so the
 levels are staircase_a's, whose distance has a closed form.  evaluate is
 the only code that builds arcs.  It does not trace the inner cycle: walking
 its first 2n arcs checks that they end at w[1:].  The certificate bytes are
-traced once, from u to v, before they are rendered as a run-length tree.
+traced once, from u to v; the certificate renders them in runs of tau's
+first generator.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .torus import Perm, TorusSpec, Vertex, identity_perm, transposition
-from .words import PathCertificate, _walk, expect_path, word_from_runs
+from .words import PathCertificate, _walk, expect_path
 from .cycles import (
     _SHIFT,
     _any_cycle_distance,
@@ -198,12 +199,13 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     the search oracle for k = 2.
 
     plan makes the term or the refusal, evaluate builds its arcs, and one
-    trace checks them at (u, v) before they are rendered as the
-    certificate's word.
+    trace checks them at (u, v).  The certificate's text and its word tree
+    render the arcs in runs of the generator tau moves to the front; the
+    tree is built only when `word` is first read.
     """
     term = plan(m, k, u, v)
     if isinstance(term, Refusal):
         return term
     arcs = evaluate(term)
     cert = expect_path(TorusSpec.power(m, k), u, v, arcs)
-    return replace(cert, word=word_from_runs(arcs, term.tau[0]))
+    return replace(cert, runs=term.tau[0])

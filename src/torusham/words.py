@@ -8,14 +8,17 @@ generator indices, non-negative ints rendered x1..xk.
 
 A certificate is flat: bytes of generator indices (PathCertificate.arcs),
 the exact sequence its trace walked.  Constructions carry arcs as bytes
-(Cycle.arcs), check them, and render them once as a run-length tree with
-word_from_runs; the tree and its text are renderings of those bytes.  The
-verifiers take a tree or flat arcs (bytes, or a checked list of ints); a
-tree's length is checked before it is expanded.  Tree walks (_fold) run
-C-level loops over each Concat's parts and one Python call per distinct
-part, and free each level's values once the level above is built; the
-text parser is one loop over regex tokens, with no recursion and no
-function call per token.
+(Cycle.arcs) and check them once; their nested text is rendered straight
+from the bytes (text_from_arcs), and their run-length tree only on demand.
+The verifiers take a tree, nested text or flat arcs (bytes, or a checked
+list of ints).  A claim's length is checked before it is expanded: a
+tree's by a fold, text's by arcs_from_text, which parses it straight to
+bytes and checks each length against the budget before every repetition.
+Tree walks (_fold) run C-level loops over each Concat's parts and one
+Python call per distinct part; the text parsers never recurse, and the
+bytes parser loops in Python once per parenthesis, group exponent and
+distinct leaf token.  The tree, word_from_text and word_to_text remain as
+the reference the tests hold the flat codec to.
 
 Verification is exact: a visited set sized to the vertex count, no
 probabilistic shortcuts.  The construction does not trace its intermediate
@@ -26,9 +29,11 @@ thorough.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Union
 
@@ -184,11 +189,12 @@ class PathCertificate:
     """An endpoint-checked hamiltonian path claim.
 
     `arcs` holds the generator indices the trace walked: it is the
-    certificate.  `word` is a rendering of it: the tree the claim was read
-    from, the run-length tree a construction built from its arcs, or None
-    for a claim given as flat arcs.  A tree refused by its length is never
-    expanded, and its `arcs` stay empty, as do those of refused flat arcs
-    with an entry past a byte.
+    certificate.  `claim` is what the claim was read from: a tree, the
+    canonical text of nested text, or None for flat arcs and for a
+    construction, whose `runs` names the generator its rendering writes in
+    runs.  A tree or text refused by its length is never expanded, and its
+    `arcs` stay empty, as do those of refused flat arcs with an entry past
+    a byte.
 
     When `verified` is false, `failure` says what went wrong and, for
     repeats and endpoint mismatches, `failure_position`/`failure_vertex`
@@ -199,15 +205,35 @@ class PathCertificate:
     start: Vertex
     target: Vertex
     arcs: bytes
-    word: Word | None
+    claim: Word | str | None
     verified: bool
     failure: str | None = None
     failure_position: int | None = None
     failure_vertex: Vertex | None = None
+    runs: int | None = None
 
     @property
     def length(self) -> int:
         return len(self.arcs)
+
+    @cached_property
+    def word(self) -> Word | None:
+        """The claim's tree, or a construction's run-length tree built on first access.
+
+        None for a claim given as text or flat arcs.
+        """
+        if self.runs is not None:
+            return word_from_runs(self.arcs, self.runs)
+        return None if isinstance(self.claim, str) else self.claim
+
+    @property
+    def text(self) -> str:
+        """The nested text: a text claim's canonical text, a tree's rendering, else the arcs'."""
+        if isinstance(self.claim, str):
+            return self.claim
+        if self.claim is not None:
+            return word_to_text(self.claim)
+        return text_from_arcs(self.arcs, self.runs)
 
 
 @dataclass(frozen=True)
@@ -240,46 +266,54 @@ class CycleRejection:
 
 
 def verify_ham_path(
-    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | bytes | list[int]
+    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | str | bytes | list[int]
 ) -> PathCertificate:
-    """Check that a word tree or flat arcs trace a hamiltonian path from start to target.
+    """Check that a word tree, nested text or flat arcs trace a hamiltonian path.
 
     Flat arcs are bytes or a list of non-negative ints.  Accepts exactly the
     words whose trace has vertex_count distinct vertices (hence all of them)
     and ends at target.  The length is checked first, so a tree is expanded,
-    once, to bytes only when its length is right.  Failures are reported in
-    the certificate, never raised.
+    once, to bytes only when its length is right, and text is parsed to
+    bytes under the budget vertex_count - 1.  Failures are reported in the
+    certificate, never raised; text that does not parse raises
+    word_from_text's ValueError.
     """
     spec.require_vertex(start)
     spec.require_vertex(target)
     count = spec.vertex_count
     flat = isinstance(w, _FLAT)
-    word = None if flat else w
-    n = len(w) if flat else flat_length(w)
+    if isinstance(w, str):
+        n, claim, arcs, top = arcs_from_text(w, count - 1)
+    else:
+        n, claim = (len(w), None) if flat else (flat_length(w), w)
     if n != count - 1:
-        # refused flat arcs are kept when they fit in bytes; a refused tree is never expanded
+        # refused flat arcs are kept when they fit in bytes; refused text or trees are never expanded
         arcs = bytes(w) if flat and max(w, default=0) < 256 else b""
         return PathCertificate(
-            spec, start, target, arcs, word, False,
+            spec, start, target, arcs, claim, False,
             failure=f"length {n} != vertex count - 1 = {count - 1}",
         )
-    arcs = _generator_arcs(spec, w)
+    if isinstance(w, str):
+        if top >= spec.k:
+            raise ValueError(f"arc {top} is not a generator index in [0, {spec.k})")
+    else:
+        arcs = _generator_arcs(spec, w)
     hit, stop = _walk(spec, start, arcs)
     if hit is not None:
         return PathCertificate(
-            spec, start, target, arcs, word, False,
+            spec, start, target, arcs, claim, False,
             failure="repeated vertex",
             failure_position=hit,
             failure_vertex=stop,
         )
     if stop != target:
         return PathCertificate(
-            spec, start, target, arcs, word, False,
+            spec, start, target, arcs, claim, False,
             failure=f"endpoint {stop} != target {target}",
             failure_position=n,
             failure_vertex=stop,
         )
-    return PathCertificate(spec, start, target, arcs, word, True)
+    return PathCertificate(spec, start, target, arcs, claim, True)
 
 
 def verify_ham_cycle(spec: TorusSpec, w: Word | bytes | list[int]) -> Cycle | CycleRejection:
@@ -331,8 +365,9 @@ def cycle_distance(c: Cycle, v: Vertex) -> int:
 # Nested text form, e.g. ((x1^1 x2^2)^1 (x1^1 x2 x1)^6 (x1^1 x2^2)^1 x1^1 x2).
 # Generator indices render as x1..xk; any other letter token is an error.
 # The flat JSON form is just a list of generator indices.  Both forms
-# round-trip through the Word tree exactly.  The parser is one loop over
-# tokens with an explicit stack of open groups.
+# round-trip through the Word tree exactly.  word_from_text is one loop over
+# tokens with an explicit stack of open groups; arcs_from_text reads the
+# same tokens straight to bytes, and text_from_arcs renders bytes back.
 
 # One token per generator with its exponent chain (x3^2, x1 ^ 2^3), per
 # group exponent, per other letter or digit run, and per bracket or bare ^.
@@ -340,6 +375,13 @@ _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:\s*\^\s*\d+)*|\^\s*\d+|\d+|[()^]
 _CARET_RE = re.compile(r"\s*\^\s*")
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z()^]")
 _GEN_RE = re.compile(r"x[0-9]+\Z")
+_PAREN_RE = re.compile(r"([()])")
+# whitespace with no ^ on either side, where arcs_from_text cuts a long run
+_CUT_RE = re.compile(r"(?<=[^\s^])\s+(?=[^\s^])")
+# characters of text, or arcs, per slice of the bytes codec: it bounds the per-token lists
+_SLICE = 1 << 16
+# the text of each byte as a lone symbol
+_NAMES = tuple(f"x{g + 1}" for g in range(256))
 
 
 def word_to_text(w: Word) -> str:
@@ -431,3 +473,195 @@ def word_from_runs(arcs: bytes, g: int) -> Concat:
     tokens = re.findall(re.escape(bytes([g])) + b"+|.", arcs, re.DOTALL)
     nodes = {t: Power(Symbol(g), len(t)) if len(t) > 1 else Symbol(t[0]) for t in set(tokens)}
     return Concat(tuple(map(nodes.__getitem__, tokens)))
+
+
+def text_from_arcs(arcs: bytes, g: int | None = None) -> str:
+    """Nested text of flat arcs, each maximal run of generator g written as a power.
+
+    Equals word_to_text(word_from_runs(arcs, g)), and for g None
+    word_to_text(word_from_flat(arcs)), without building the tree: one
+    regex pass over the runs and one join, in slices of about _SLICE arcs
+    that end where a run does.
+    """
+    if g is None:
+        tokens_re, tail = re.compile(b".", re.DOTALL), None
+    else:
+        run = re.escape(bytes([g]))
+        tokens_re, tail = re.compile(run + b"+|.", re.DOTALL), re.compile(run + b"*")
+    names: dict[bytes, str] = {}
+    pieces = ["("]
+    pos = 0
+    while pos < len(arcs):
+        end = min(pos + _SLICE, len(arcs))
+        if tail is not None:
+            end = tail.match(arcs, end).end()
+        tokens = tokens_re.findall(arcs, pos, end)
+        for t in set(tokens).difference(names):
+            names[t] = _NAMES[t[0]] if len(t) == 1 else f"x{g + 1}^{len(t)}"
+        if pos:
+            pieces.append(" ")
+        pieces.append(" ".join(map(names.__getitem__, tokens)))
+        pos = end
+    pieces.append(")")
+    return "".join(pieces)
+
+
+def _leaf(token: str) -> tuple[int, int, str]:
+    """(label, expanded length, canonical text) of a leaf token, with word_from_text's errors."""
+    if token[0] == "^":
+        # bare, or after a token that fails first: a leaf absorbs the exponents that follow it
+        raise ValueError("exponent must be a non-negative integer")
+    name, *exponents = _CARET_RE.split(token)
+    if not _GEN_RE.match(name):
+        raise ValueError(f"unexpected token {name!r} in word text")
+    index = int(name[1:])
+    if index < 1:
+        raise ValueError(f"generator token {name!r} must be x1 or higher")
+    exponents = list(map(int, exponents))
+    return index - 1, math.prod(exponents), f"x{index}" + "".join(map("^{}".format, exponents))
+
+
+def _cuts(seg: str, size: int):
+    """(start, end) bounds of slices of seg, about size long, cut where no token spans.
+
+    A token spans whitespace only next to a ^ of an exponent chain, so
+    whitespace with no ^ on either side is a cut.
+    """
+    pos, end = 0, len(seg)
+    while end - pos > size:
+        found = _CUT_RE.search(seg, pos + size)
+        if found is None:
+            break
+        yield pos, found.start()
+        pos = found.start()
+    yield pos, end
+
+
+def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]:
+    """Parse the nested text form straight to arcs, never building a tree.
+
+    Returns (length, canonical text, arcs, top): the expanded length as an
+    exact integer; the text word_to_text prints for word_from_text(text);
+    the arcs as bytes, or None when the length exceeds budget; and the
+    largest label in the expansion, or -1 for none.  Labels past a byte
+    are held as 255 in the arcs, so top is what reports them.  Raises
+    word_from_text's ValueError on the same texts.
+
+    The length is checked against budget before every repetition, so no
+    allocation exceeds it: a group that overflows only counts its length
+    from then on, and an exponent 0 drops it again.  Python loops once per
+    parenthesis, group exponent, new distinct leaf token and slice of
+    about _SLICE characters; each slice's run of leaf tokens is split on
+    whitespace (or tokenized, where a chunk is not one leaf token), looked
+    up, summed and joined by C calls.
+    """
+    if _BAD_CHAR_RE.search(text):
+        raise ValueError("unrecognized characters in word text")
+    labels: dict[str, int] = {}
+    lengths: dict[str, int] = {}
+    texts: dict[str, str] = {}
+    canon: list[str] = []  # canonical text pieces, in order
+    out: list[str] = []  # arcs, one latin-1 character each, in order
+    live = 0  # arcs held in out
+    stack: list[list] = []  # the open groups around `group`
+    # per group: items, length, top label, its first index in out, whether it overflowed
+    group = [0, 0, -1, 0, False]
+
+    def add(items: int, n: int, top: int, arcs: str | None) -> None:
+        # count an item of length n into the open group, appending its arcs; None: it has none
+        nonlocal live
+        if not group[4]:
+            if arcs is not None and live + n <= budget:
+                out.append(arcs)
+                live += n
+            else:
+                # drop the group's arcs: its length is kept, its arcs never will be
+                del out[group[3]:]
+                live -= group[1]
+                group[4] = True
+        group[0] += items
+        group[1] += n
+        group[2] = max(group[2], top)
+
+    def add_run(run: list[str], distinct: set[str]) -> None:
+        bad = {}
+        for tok in distinct.difference(labels):
+            try:
+                labels[tok], lengths[tok], texts[tok] = _leaf(tok)
+            except ValueError as exc:
+                bad[tok] = exc
+        if bad:
+            raise next(bad[tok] for tok in run if tok in bad)
+        n = sum(map(lengths.__getitem__, run))
+        if group[0]:
+            canon.append(" ")
+        canon.append(" ".join(map(texts.__getitem__, run)))
+        arcs = None
+        if not group[4] and live + n <= budget:
+            chars = {tok: chr(min(labels[tok], 255)) * lengths[tok] for tok in distinct}
+            arcs = "".join(map(chars.__getitem__, run))
+        add(len(run), n, max((labels[t] for t in distinct if lengths[t]), default=-1), arcs)
+
+    def add_group(closed: list, e: int) -> None:
+        nonlocal live
+        _, n, top, first, over = closed
+        if e == 1 and not over:
+            # its arcs stay in out, where the group left them
+            group[0] += 1
+            group[1] += n
+            group[2] = max(group[2], top)
+            return
+        arcs = None
+        if not over:
+            body = "".join(out[first:])
+            del out[first:]
+            live -= n
+            if live + n * e <= budget:
+                arcs = body * e
+        add(1, n * e, top if e else -1, arcs if e else "")
+
+    closed = None  # a group just closed, whose exponents follow
+    for i, seg in enumerate(_PAREN_RE.split(text)):
+        if i % 2:
+            if seg == "(":
+                canon.append(" (" if group[0] else "(")
+                stack.append(group)
+                group = [0, 0, -1, len(out), group[4]]
+            elif not stack:
+                raise ValueError("unbalanced parenthesis in word text")
+            else:
+                canon.append(")")
+                closed, group = group, stack.pop()
+            continue
+        for pos, end in _cuts(seg, _SLICE):
+            tokens = seg[pos:end].split()
+            distinct = set(tokens)
+            if not all(_TOKEN_RE.fullmatch(tok) and tok[0] != "^" for tok in distinct):
+                # a chunk holds several tokens, or a token spans whitespace or is an exponent
+                tokens = _TOKEN_RE.findall(seg, pos, end)
+                distinct = None
+            e, skip = 1, 0
+            for tok in tokens:
+                if tok[0] != "^":
+                    break
+                if closed is None:
+                    raise ValueError("unexpected token '^' in word text")
+                if tok == "^":
+                    raise ValueError("exponent must be a non-negative integer")
+                value = int(tok[1:].lstrip())
+                canon.append(f"^{value}")
+                e *= value
+                skip += 1
+            if closed is not None:
+                add_group(closed, e)
+                closed = None
+            if len(tokens) > skip:
+                run = tokens[skip:] if skip else tokens
+                add_run(run, distinct or set(run))
+    if stack:
+        raise ValueError("unbalanced parenthesis in word text")
+    if group[0] != 1:
+        canon.insert(0, "(")
+        canon.append(")")
+    arcs = None if group[4] else "".join(out).encode("latin-1")
+    return group[1], "".join(canon), arcs, group[2]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -7,8 +8,9 @@ import sys
 import pytest
 
 import torusham
-from torusham import TorusSpec, cli, expand, hamiltonian_path, verify_ham_path, word_from_text
+from torusham import TorusSpec, cli, expand, hamiltonian_path, paths, verify_ham_path, word_from_text, words
 from torusham.cli import certificate_record, word_from_record
+from test_golden import GOLDEN
 
 BASE = [sys.executable, "-m", "torusham"]
 # children import the package this suite imported, with or without PYTHONPATH
@@ -181,8 +183,6 @@ CUBE_RECORD = json.dumps(
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[-1]"),
         # the right length, so the generator range is what fails
         (["--m", "3", "--k", "3", "--to", "2,0,0"], json.dumps([300] + [0] * 25)),
-        (["--m", "3", "--k", "3", "--to", "2,0,0"], "(" * 3000 + "x1" + ")" * 3000),
-        (["--m", "3", "--k", "3", "--to", "2,0,0"], "x1" + "^1" * 3000),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[" * 100000 + "]" * 100000),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", MISSING_FILE], ""),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", os.curdir], ""),
@@ -193,7 +193,7 @@ CUBE_RECORD = json.dumps(
     ids=[
         "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float",
         "flat-true", "flat-float", "flat-negative", "flat-300",
-        "deep-parentheses", "deep-powers", "deep-json-array", "missing-file", "directory-file",
+        "deep-json-array", "missing-file", "directory-file",
         "lone-m", "lone-k",
     ],
 )
@@ -202,6 +202,21 @@ def test_verify_bad_input_is_one_error_line(flags, stdin):
     assert checked.returncode == 1
     assert checked.stderr.startswith("error: ")
     assert len(checked.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", [600, 3000])
+def test_deep_word_text_reaches_the_length_check(depth):
+    # text nesting costs no recursion, so the outcome does not depend on sys.getrecursionlimit()
+    for text in ("(" * depth + "x1" + ")" * depth, "x1" + "^1" * depth):
+        checked = run("verify", "--m", "3", "--k", "3", "--to", "2,0,0", stdin=text)
+        assert checked.returncode == 2
+        assert checked.stderr == "not a hamiltonian path: length 1 != vertex count - 1 = 26\n"
+    deep = "(" * depth + CUBE_WORD + ")" * depth
+    record = json.loads(CUBE_RECORD)
+    record["word"]["nested"] = deep
+    checked = run("verify", stdin=json.dumps(record))
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout)["word"]["nested"] == deep
 
 
 def test_memory_error_is_one_error_line(monkeypatch, capsys):
@@ -287,7 +302,7 @@ def test_record_round_trip_for_every_small_target():
             cert = hamiltonian_path(m, k, spec.zero(), v)
             blob = json.loads(json.dumps(certificate_record(cert)))
             word = word_from_record(blob["word"])
-            assert word == cert.word
+            assert word_from_text(word) == cert.word
             assert verify_ham_path(spec, spec.zero(), v, word).verified
 
 
@@ -298,3 +313,34 @@ def test_scan_reports_counterexamples_on_stderr():
     records = [json.loads(line) for line in got.stdout.splitlines()]
     by_moduli = {tuple(r["moduli"]): r for r in records}
     assert by_moduli[(2, 2, 3)]["counterexamples"] == [[0, 0, 1], [1, 1, 1], [1, 1, 2]]
+
+
+# odd m from 0 and from elsewhere; even m with a transposition, from elsewhere
+@pytest.mark.parametrize("m, k, u, v, digest", [GOLDEN[0], GOLDEN[2], GOLDEN[12]])
+def test_cli_path_builds_no_tree(monkeypatch, capsys, m, k, u, v, digest):
+    # construct renders text from arcs and verify parses text to bytes: no tree on either path
+    def no_tree(*args):
+        raise AssertionError("built or read a word tree")
+
+    reference = words.word_from_runs
+    for mod in (words, paths, cli):
+        for name in ("word_from_runs", "word_from_text", "word_to_text"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, no_tree)
+    cert = hamiltonian_path(m, k, u, v)
+    line = json.dumps(certificate_record(cert))
+    assert hashlib.sha256(line.encode()).hexdigest() == digest
+    text = json.loads(line)["word"]["nested"]
+    argv = ["construct", "--m", str(m), "--k", str(k), "--from", ",".join(map(str, u)),
+            "--to", ",".join(map(str, v))]
+    assert cli.main(argv) == 0 and capsys.readouterr().out == line + "\n"
+    assert cli.main(argv + ["--format", "word"]) == 0 and capsys.readouterr().out == text + "\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line))
+    assert cli.main(["verify"]) == 0 and capsys.readouterr().out == line + "\n"
+    from_text = verify_ham_path(cert.spec, u, v, text)
+    from_flat = verify_ham_path(cert.spec, u, v, cert.arcs)
+    assert from_text.verified and from_text.arcs == cert.arcs and from_text.claim == text
+    assert from_text.word is None and from_flat.word is None
+    monkeypatch.undo()
+    # the tree is still there on demand, equal to the one hamiltonian_path used to build
+    assert cert.word == reference(cert.arcs, paths.plan(m, k, u, v).tau[0])

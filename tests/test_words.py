@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import generator_words
+from conftest import generator_words, word_trees
 from torusham import (
     Concat,
     Cycle,
@@ -18,6 +19,7 @@ from torusham import (
     cycle_distance,
     expand,
     flat_length,
+    hamiltonian_path,
     staircase_a,
     staircase_b,
     trace,
@@ -27,7 +29,8 @@ from torusham import (
     word_from_text,
     word_to_text,
 )
-from torusham.words import _checked_flat, word_from_runs
+from torusham import words
+from torusham.words import _checked_flat, arcs_from_text, text_from_arcs, word_from_runs
 
 X1, X2 = Symbol(0), Symbol(1)
 
@@ -434,3 +437,88 @@ def test_parser_takes_deep_nesting_without_recursion():
         assert isinstance(node, Power) and node.exponent == 1
         node = node.base
     assert node == X2
+
+
+# --- the bytes codec against the tree reference ------------------------------
+#
+# arcs_from_text and text_from_arcs never build a tree; word_from_text,
+# flat_length, expand, word_to_text and word_from_runs are their reference.
+
+# labels past a byte, under ^0 or not, and big exponents against small budgets
+BIG_LABEL_TEXTS = word_trees(st.sampled_from([0, 1, 299, 10**20]), max_exponent=9).map(
+    reference_word_to_text
+)
+
+
+@settings(max_examples=600)
+@given(st.one_of(WORD_TEXTS, BIG_LABEL_TEXTS), st.integers(0, 40))
+@example("x1 ^\x1c2^\u0663 (x2)^\x1c3", 10)
+@example("(x300 x1)^0 x300^2 x1", 3)
+@example("(x1^20 x1^20)^0 x2^3", 26)
+@example("((x1 x2)^3 x1^5)^2 (x3 x400)^0", 40)
+def test_bytes_parser_agrees_with_the_tree_reference(text, budget):
+    got = _outcome(lambda t: arcs_from_text(t, budget), text)
+    try:
+        tree = word_from_text(text)
+    except ValueError as exc:
+        assert got == (ValueError, str(exc))
+        return
+    n, canonical, arcs, top = got
+    assert n == flat_length(tree)
+    assert canonical == word_to_text(tree)
+    if n > budget:
+        assert arcs is None
+        return
+    flat = expand(tree)
+    assert top == max(flat, default=-1)
+    # labels past a byte are held as 255, and top reports them
+    assert arcs == bytes(min(g, 255) for g in flat)
+
+
+@given(WORD_TEXTS)
+def test_slice_cuts_split_no_token(text):
+    for seg in re.split(r"[()]", text):
+        cuts = list(words._cuts(seg, 3))
+        assert [cut[0] for cut in cuts[1:]] == [cut[1] for cut in cuts[:-1]]
+        assert (cuts[0][0], cuts[-1][1]) == (0, len(seg))
+        sliced = [tok for pos, end in cuts for tok in words._TOKEN_RE.findall(seg, pos, end)]
+        assert sliced == words._TOKEN_RE.findall(seg)
+
+
+def test_bytes_codec_slices_long_runs():
+    # several slices each way; the slices of the text start and end mid-run
+    rng = random.Random(5)
+    arcs = bytes(rng.choice(b"\0\0\0\1\2") for _ in range(3 * words._SLICE + 7))
+    text = text_from_arcs(arcs, 0)
+    assert text == word_to_text(word_from_runs(arcs, 0))
+    assert text_from_arcs(arcs) == word_to_text(word_from_flat(arcs))
+    assert arcs_from_text(text, len(arcs)) == (len(arcs), text, arcs, 2)
+    assert arcs_from_text(text, len(arcs) - 1)[2] is None
+
+
+@given(st.lists(ARC_BYTES, max_size=64).map(bytes), ARC_BYTES)
+@example(b"", 0)
+@example(b"\0\1\1\0", 7)
+def test_renderer_agrees_with_the_tree_reference(arcs, g):
+    assert text_from_arcs(arcs, g) == word_to_text(word_from_runs(arcs, g))
+    assert text_from_arcs(arcs) == word_to_text(word_from_flat(arcs))
+
+
+@pytest.mark.parametrize("text", ["x1^1000000000000", "(x1^1000000)^1000000"])
+def test_verify_ham_path_refuses_a_text_power_bomb_before_expanding(text):
+    spec = TorusSpec((3, 3))
+    cert, peak = _peak_bytes(verify_ham_path, spec, (0, 0), (2, 2), text)
+    assert cert.failure == f"length {10**12} != vertex count - 1 = 8"
+    assert cert.arcs == b"" and cert.word is None
+    assert peak < 64 * 1024
+
+
+def test_verify_ham_path_on_text_holds_less_than_the_tree_did():
+    # a (3,10) certificate: 59,048 arcs in 157,466 characters of text
+    u, v = (0,) * 10, (2,) + (0,) * 9
+    text = hamiltonian_path(3, 10, u, v).text
+    cert, peak = _peak_bytes(verify_ham_path, TorusSpec.power(3, 10), u, v, text)
+    assert cert.verified and cert.claim == text and cert.word is None
+    # word_from_text then verify_ham_path on its tree peaked at 3,066,000 bytes
+    # (CPython 3.11); parsing straight to bytes measured 2,296,000
+    assert peak <= 3_066_000
