@@ -183,6 +183,9 @@ CUBE_RECORD = json.dumps(
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[-1]"),
         # the right length, so the generator range is what fails
         (["--m", "3", "--k", "3", "--to", "2,0,0"], json.dumps([300] + [0] * 25)),
+        # deep text parses without recursion, so only a fault in it is an error
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "(" * 3000 + "x1" + ")" * 2999),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], "x1" + "^1" * 3000 + "^"),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[" * 100000 + "]" * 100000),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", MISSING_FILE], ""),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", os.curdir], ""),
@@ -193,7 +196,7 @@ CUBE_RECORD = json.dumps(
     ids=[
         "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float",
         "flat-true", "flat-float", "flat-negative", "flat-300",
-        "deep-json-array", "missing-file", "directory-file",
+        "deep-parentheses", "deep-powers", "deep-json-array", "missing-file", "directory-file",
         "lone-m", "lone-k",
     ],
 )
