@@ -18,7 +18,6 @@ from .words import (
     Symbol,
     Word,
     cycle_distance,
-    expand,
     flat_length,
     trace,
     verify_ham_cycle,
@@ -72,7 +71,6 @@ __all__ = [
     "endpoint_set",
     "enumerate_torus_specs",
     "even_distance_cycle_power",
-    "expand",
     "flat_length",
     "ham_cycle_exists_2d",
     "ham_cycle_witness",

@@ -27,10 +27,11 @@ coordinate by one, so first-coordinate parity bipartitions H and forces the
 distance to w + x_1 even once a transposition tau moves an odd coordinate
 of w to the front (the rolled arcs are relabelled back by tau); so the
 levels are staircase_a's, whose distance has a closed form.  evaluate is
-the only code that builds arcs.  It does not trace the inner cycle: walking
-its first 2n arcs checks that they end at w[1:].  The certificate bytes are
-traced once, from u to v; the certificate renders them in runs of tau's
-first generator.
+the only code that builds arcs.  It does not trace the inner cycle:
+counting its first 2n arcs per generator checks that they end at w[1:],
+since a walk from 0 in an abelian group ends at its arc counts.  The
+certificate bytes are traced once, from u to v; the certificate renders
+them in runs of tau's first generator.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .torus import Perm, TorusSpec, Vertex, identity_perm, transposition
-from .words import PathCertificate, _walk, expect_path
+from .words import PathCertificate, expect_path
 from .cycles import (
     _SHIFT,
     _any_cycle_distance,
@@ -177,12 +178,14 @@ def plan(m: int, k: int, u: Vertex, v: Vertex) -> Term | Refusal:
 def evaluate(term: Term) -> bytes:
     """The arcs of a term's path from 0, relabelled by tau; the only arc builder.
 
-    The inner cycle is not traced: walking its first 2n arcs checks that
-    they end at w[1:], which puts the rolled path's end at the target.
+    The inner cycle is not traced: its first 2n arcs, counted per
+    generator, must end at w[1:], which puts the rolled path's end at the
+    target.
     """
     m, k, n = term.m, term.k, term.n
     inner = _lift_chain(m, term.levels)
-    _, end = _walk(TorusSpec.power(m, k - 1), (0,) * (k - 1), inner[: 2 * n])
+    # in an abelian group a walk from 0 ends at its per-generator arc counts
+    end = tuple(inner.count(g, 0, 2 * n) % m for g in range(k - 1))
     if end != term.w[1:]:
         raise AssertionError(f"inner cycle reaches {end} after {2 * n} arcs, not {term.w[1:]}")
     return _roll(m, inner, n).translate(_arc_table(term.tau))

@@ -116,30 +116,6 @@ class TorusSpec:
         g = self.moduli_gcd
         return self.directed_distance(u, v) % g == (g - 1) % g
 
-    def require_perm(self, perm) -> Perm:
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.k)):
-            raise ValueError(f"{perm!r} is not a permutation of range({self.k})")
-        for i, p in enumerate(perm):
-            if self.moduli[p] != self.moduli[i]:
-                raise ValueError(
-                    f"permutation {perm!r} mixes unequal cycle lengths "
-                    f"{self.moduli[i]} and {self.moduli[p]}"
-                )
-        return perm
-
-    def permute_coords(self, v: Vertex, perm: Perm) -> Vertex:
-        """Move coordinate i to position perm[i].
-
-        Only positions with equal moduli may be exchanged; then the map is a
-        digraph automorphism fixing the zero vertex.
-        """
-        perm = self.require_perm(perm)
-        out = [0] * self.k
-        for i, p in enumerate(perm):
-            out[p] = v[i]
-        return tuple(out)
-
 
 def identity_perm(k: int) -> Perm:
     return tuple(range(k))

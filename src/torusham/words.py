@@ -11,14 +11,14 @@ the exact sequence its trace walked.  Constructions carry arcs as bytes
 (Cycle.arcs) and check them once; their nested text is rendered straight
 from the bytes (text_from_arcs), and their run-length tree only on demand.
 The verifiers take a tree, nested text or flat arcs (bytes, or a checked
-list of ints).  A claim's length is checked before it is expanded: a
-tree's by a fold, text's by arcs_from_text, which parses it straight to
-bytes and checks each length against the budget before every repetition.
-Tree walks (_fold) run C-level loops over each Concat's parts and one
-Python call per distinct part; the text parsers never recurse, and the
-bytes parser loops in Python once per parenthesis, group exponent and
-distinct leaf token.  The tree, word_from_text and word_to_text remain as
-the reference the tests hold the flat codec to.
+list of ints).  arcs_from_text is the one expander of nested words: it
+parses text straight to bytes and checks each length against the budget
+before every repetition.  A tree's length is checked first by a fold, and
+a tree within budget is expanded through its text.  Tree walks (_fold) run
+C-level loops over each Concat's parts and one Python call per distinct
+part; the text parsers never recurse, and the bytes parser loops in Python
+once per parenthesis and distinct leaf token.  The tree, word_from_text
+and word_to_text remain as the reference the tests hold the flat codec to.
 
 Verification is exact: a visited set sized to the vertex count, no
 probabilistic shortcuts.  The construction does not trace its intermediate
@@ -34,7 +34,6 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Union
 
 from .torus import TorusSpec, Vertex
@@ -109,24 +108,8 @@ def flat_length(w: Word) -> int:
     return _fold(w, lambda g: 1, sum, operator.mul)
 
 
-def expand(w: Word) -> list[int]:
-    """Generator indices of the expansion, left to right."""
-    return _fold(w, lambda g: [g], lambda xs: list(chain.from_iterable(xs)), operator.mul)
-
-
-def _generator_arcs(spec: TorusSpec, w: Word | bytes | list[int]) -> bytes:
-    """The expansion as bytes, every arc checked to be a generator index of spec.
-
-    Callers check the length first, so a power bomb never gets here.
-    """
-    arcs = w if isinstance(w, _FLAT) else expand(w)
-    if arcs and max(arcs) >= spec.k:
-        raise ValueError(f"arc {max(arcs)} is not a generator index in [0, {spec.k})")
-    return bytes(arcs)
-
-
-def trace(spec: TorusSpec, start: Vertex, w: Word | bytes | list[int]) -> Iterator[Vertex]:
-    """Yield the vertex sequence of a word tree or flat arcs starting at `start`.
+def trace(spec: TorusSpec, start: Vertex, arcs: bytes | list[int]) -> Iterator[Vertex]:
+    """Yield the vertex sequence of flat arcs starting at `start`.
 
     The first yielded vertex is `start`; one more follows per arc, which
     must be a generator index below spec.k.
@@ -136,7 +119,7 @@ def trace(spec: TorusSpec, start: Vertex, w: Word | bytes | list[int]) -> Iterat
     moduli = spec.moduli
     k = spec.k
     yield start
-    for g in w if isinstance(w, _FLAT) else expand(w):
+    for g in arcs:
         if g >= k:
             raise ValueError(f"symbol {g!r} is not a generator index in [0, {k})")
         coords[g] = (coords[g] + 1) % moduli[g]
@@ -259,10 +242,37 @@ class Cycle:
 @dataclass(frozen=True)
 class CycleRejection:
     spec: TorusSpec
-    word: Word | bytes | list[int]
+    word: Word | str | bytes | list[int]
     reason: str
     position: int | None = None
     vertex: Vertex | None = None
+
+
+def _claim(
+    spec: TorusSpec, w: Word | str | bytes | list[int], budget: int
+) -> tuple[int, Word | str | None, bytes]:
+    """(length, claim, arcs) of a word tree, nested text or flat arcs.
+
+    arcs_from_text is the one expander: text is parsed under budget, and a
+    tree is checked by its length first, then expanded through its text.
+    A claim whose length is not budget keeps no arcs, except flat arcs
+    that fit in bytes.  Otherwise every arc is checked to be a generator
+    index of spec, and claim is the tree, the canonical text or None.
+    """
+    if isinstance(w, str):
+        n, claim, arcs, top = arcs_from_text(w, budget)
+    elif isinstance(w, _FLAT):
+        n, claim, arcs, top = len(w), None, w, max(w, default=-1)
+    else:
+        n, claim, arcs, top = flat_length(w), w, None, -1
+        if n == budget:
+            arcs, top = arcs_from_text(word_to_text(w), budget)[2:]
+    if n != budget:
+        # refused flat arcs are kept when they fit in bytes; refused text or trees keep none
+        return n, claim, bytes(w) if isinstance(w, _FLAT) and top < 256 else b""
+    if top >= spec.k:
+        raise ValueError(f"arc {top} is not a generator index in [0, {spec.k})")
+    return n, claim, bytes(arcs)
 
 
 def verify_ham_path(
@@ -272,32 +282,20 @@ def verify_ham_path(
 
     Flat arcs are bytes or a list of non-negative ints.  Accepts exactly the
     words whose trace has vertex_count distinct vertices (hence all of them)
-    and ends at target.  The length is checked first, so a tree is expanded,
-    once, to bytes only when its length is right, and text is parsed to
-    bytes under the budget vertex_count - 1.  Failures are reported in the
-    certificate, never raised; text that does not parse raises
-    word_from_text's ValueError.
+    and ends at target.  Trees and text are expanded to bytes under the
+    budget vertex_count - 1, a tree only once its length is right.
+    Failures are reported in the certificate, never raised; text that does
+    not parse raises word_from_text's ValueError.
     """
     spec.require_vertex(start)
     spec.require_vertex(target)
     count = spec.vertex_count
-    flat = isinstance(w, _FLAT)
-    if isinstance(w, str):
-        n, claim, arcs, top = arcs_from_text(w, count - 1)
-    else:
-        n, claim = (len(w), None) if flat else (flat_length(w), w)
+    n, claim, arcs = _claim(spec, w, count - 1)
     if n != count - 1:
-        # refused flat arcs are kept when they fit in bytes; refused text or trees are never expanded
-        arcs = bytes(w) if flat and max(w, default=0) < 256 else b""
         return PathCertificate(
             spec, start, target, arcs, claim, False,
             failure=f"length {n} != vertex count - 1 = {count - 1}",
         )
-    if isinstance(w, str):
-        if top >= spec.k:
-            raise ValueError(f"arc {top} is not a generator index in [0, {spec.k})")
-    else:
-        arcs = _generator_arcs(spec, w)
     hit, stop = _walk(spec, start, arcs)
     if hit is not None:
         return PathCertificate(
@@ -316,19 +314,18 @@ def verify_ham_path(
     return PathCertificate(spec, start, target, arcs, claim, True)
 
 
-def verify_ham_cycle(spec: TorusSpec, w: Word | bytes | list[int]) -> Cycle | CycleRejection:
-    """Check that a word tree or flat arcs trace a hamiltonian cycle based at 0.
+def verify_ham_cycle(spec: TorusSpec, w: Word | str | bytes | list[int]) -> Cycle | CycleRejection:
+    """Check that a word tree, nested text or flat arcs trace a hamiltonian cycle based at 0.
 
     Accepts exactly the words of length vertex_count whose trace visits
-    every vertex once and returns to 0.  Rejections are reported, not
-    raised.
+    every vertex once and returns to 0; trees and text are expanded under
+    that budget.  Rejections are reported, not raised.
     """
     count = spec.vertex_count
-    n = len(w) if isinstance(w, _FLAT) else flat_length(w)
+    n, _, arcs = _claim(spec, w, count)
     if n != count:
         return CycleRejection(spec, w, f"length {n} != vertex count {count}")
     zero = spec.zero()
-    arcs = _generator_arcs(spec, w)
     # count arcs over count vertices must land on a marked vertex by step count
     hit, stop = _walk(spec, zero, arcs)
     if hit < count:
@@ -375,7 +372,8 @@ _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:\s*\^\s*\d+)*|\^\s*\d+|\d+|[()^]
 _CARET_RE = re.compile(r"\s*\^\s*")
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z()^]")
 _GEN_RE = re.compile(r"x[0-9]+\Z")
-_PAREN_RE = re.compile(r"([()])")
+# "(", or ")" with the exponent chain that follows it: the groups arcs_from_text splits on
+_GROUP_RE = re.compile(r"(\(|\)(?:\s*\^\s*\d+)*)")
 # whitespace with no ^ on either side, where arcs_from_text cuts a long run
 _CUT_RE = re.compile(r"(?<=[^\s^])\s+(?=[^\s^])")
 # characters of text, or arcs, per slice of the bytes codec: it bounds the per-token lists
@@ -547,13 +545,16 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
     are held as 255 in the arcs, so top is what reports them.  Raises
     word_from_text's ValueError on the same texts.
 
-    The length is checked against budget before every repetition, so no
-    allocation exceeds it: a group that overflows only counts its length
-    from then on, and an exponent 0 drops it again.  Python loops once per
-    parenthesis, group exponent, new distinct leaf token and slice of
-    about _SLICE characters; each slice's run of leaf tokens is split on
-    whitespace (or tokenized, where a chunk is not one leaf token), looked
-    up, summed and joined by C calls.
+    One stack of open groups, each holding its arcs as latin-1 pieces.
+    Every item, a run of leaf tokens or a closed group, is counted into
+    the open group against the arcs held in all of them, so no allocation
+    exceeds budget: a group that overflows only counts its length from
+    then on, and an exponent 0 drops it again.  A group closed with
+    exponent 1 hands its pieces to its parent unjoined.  Python loops once
+    per parenthesis, new distinct leaf token and slice of about _SLICE
+    characters; each slice's run of leaf tokens is split on whitespace (or
+    tokenized, where a chunk is not one leaf token), looked up, summed and
+    joined by C calls.
     """
     if _BAD_CHAR_RE.search(text):
         raise ValueError("unrecognized characters in word text")
@@ -561,107 +562,85 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
     lengths: dict[str, int] = {}
     texts: dict[str, str] = {}
     canon: list[str] = []  # canonical text pieces, in order
-    out: list[str] = []  # arcs, one latin-1 character each, in order
-    live = 0  # arcs held in out
+    live = 0  # arcs held in the pieces of the open groups
     stack: list[list] = []  # the open groups around `group`
-    # per group: items, length, top label, its first index in out, whether it overflowed
-    group = [0, 0, -1, 0, False]
+    # per group: its pieces (None once over budget), items, length, top label
+    group: list = [[], 0, 0, -1]
 
-    def add(items: int, n: int, top: int, arcs: str | None) -> None:
-        # count an item of length n into the open group, appending its arcs; None: it has none
+    def put(items: int, n: int, top: int, pieces: list[str] | None) -> None:
+        # count an item of length n into the open group; pieces None: its arcs are not held
         nonlocal live
-        if not group[4]:
-            if arcs is not None and live + n <= budget:
-                out.append(arcs)
+        if group[0] is not None:
+            if pieces is not None and live + n <= budget:
+                group[0] += pieces
                 live += n
             else:
                 # drop the group's arcs: its length is kept, its arcs never will be
-                del out[group[3]:]
-                live -= group[1]
-                group[4] = True
-        group[0] += items
-        group[1] += n
-        group[2] = max(group[2], top)
+                live -= group[2]
+                group[0] = None
+        group[1] += items
+        group[2] += n
+        group[3] = max(group[3], top)
 
-    def add_run(run: list[str], distinct: set[str]) -> None:
-        bad = {}
-        for tok in distinct.difference(labels):
-            try:
-                labels[tok], lengths[tok], texts[tok] = _leaf(tok)
-            except ValueError as exc:
-                bad[tok] = exc
-        if bad:
-            raise next(bad[tok] for tok in run if tok in bad)
-        n = sum(map(lengths.__getitem__, run))
-        if group[0]:
-            canon.append(" ")
-        canon.append(" ".join(map(texts.__getitem__, run)))
-        arcs = None
-        if not group[4] and live + n <= budget:
-            chars = {tok: chr(min(labels[tok], 255)) * lengths[tok] for tok in distinct}
-            arcs = "".join(map(chars.__getitem__, run))
-        add(len(run), n, max((labels[t] for t in distinct if lengths[t]), default=-1), arcs)
-
-    def add_group(closed: list, e: int) -> None:
-        nonlocal live
-        _, n, top, first, over = closed
-        if e == 1 and not over:
-            # its arcs stay in out, where the group left them
-            group[0] += 1
-            group[1] += n
-            group[2] = max(group[2], top)
-            return
-        arcs = None
-        if not over:
-            body = "".join(out[first:])
-            del out[first:]
-            live -= n
-            if live + n * e <= budget:
-                arcs = body * e
-        add(1, n * e, top if e else -1, arcs if e else "")
-
-    closed = None  # a group just closed, whose exponents follow
-    for i, seg in enumerate(_PAREN_RE.split(text)):
-        if i % 2:
-            if seg == "(":
-                canon.append(" (" if group[0] else "(")
-                stack.append(group)
-                group = [0, 0, -1, len(out), group[4]]
-            elif not stack:
-                raise ValueError("unbalanced parenthesis in word text")
-            else:
-                canon.append(")")
-                closed, group = group, stack.pop()
+    for i, seg in enumerate(_GROUP_RE.split(text)):
+        if not seg:
             continue
-        for pos, end in _cuts(seg, _SLICE):
-            tokens = seg[pos:end].split()
-            distinct = set(tokens)
-            if not all(_TOKEN_RE.fullmatch(tok) and tok[0] != "^" for tok in distinct):
-                # a chunk holds several tokens, or a token spans whitespace or is an exponent
-                tokens = _TOKEN_RE.findall(seg, pos, end)
-                distinct = None
-            e, skip = 1, 0
-            for tok in tokens:
-                if tok[0] != "^":
-                    break
-                if closed is None:
+        if i % 2 == 0:
+            for pos, end in _cuts(seg, _SLICE):
+                run = seg[pos:end].split()
+                distinct = set(run)
+                new = distinct.difference(labels)
+                if not all(_TOKEN_RE.fullmatch(tok) and tok[0] != "^" for tok in new):
+                    # a chunk holds several tokens, or a token spans whitespace or is an exponent
+                    run = _TOKEN_RE.findall(seg, pos, end)
+                    distinct = set(run)
+                    new = distinct.difference(labels)
+                if not run:
+                    continue
+                # a ^ token with no item before it in its group; after an item, _leaf rejects it
+                if run[0][0] == "^" and not group[1]:
                     raise ValueError("unexpected token '^' in word text")
-                if tok == "^":
-                    raise ValueError("exponent must be a non-negative integer")
-                value = int(tok[1:].lstrip())
-                canon.append(f"^{value}")
-                e *= value
-                skip += 1
-            if closed is not None:
-                add_group(closed, e)
-                closed = None
-            if len(tokens) > skip:
-                run = tokens[skip:] if skip else tokens
-                add_run(run, distinct or set(run))
+                bad = {}
+                for tok in new:
+                    try:
+                        labels[tok], lengths[tok], texts[tok] = _leaf(tok)
+                    except ValueError as exc:
+                        bad[tok] = exc
+                if bad:
+                    raise next(bad[tok] for tok in run if tok in bad)
+                n = sum(map(lengths.__getitem__, run))
+                canon.append(" " if group[1] else "")
+                canon.append(" ".join(map(texts.__getitem__, run)))
+                pieces = None
+                if group[0] is not None and live + n <= budget:
+                    chars = {tok: chr(min(labels[tok], 255)) * lengths[tok] for tok in distinct}
+                    pieces = ["".join(map(chars.__getitem__, run))]
+                top = max((labels[t] for t in distinct if lengths[t]), default=-1)
+                put(len(run), n, top, pieces)
+        elif seg == "(":
+            canon.append(" (" if group[1] else "(")
+            stack.append(group)
+            group = [None if group[0] is None else [], 0, 0, -1]
+        elif not stack:
+            raise ValueError("unbalanced parenthesis in word text")
+        else:
+            # ")" with its exponent chain, cached as a leaf token is
+            if seg not in texts:
+                exps = list(map(int, _CARET_RE.split(seg)[1:]))
+                lengths[seg], texts[seg] = math.prod(exps), ")" + "".join(map("^{}".format, exps))
+            e = lengths[seg]
+            canon.append(texts[seg])
+            (pieces, _, n, top), group = group, stack.pop()
+            if pieces is not None:
+                live -= n
+                if e != 1:
+                    # an exponent 0 holds no arcs, whatever the group held
+                    pieces = ["".join(pieces) * e] if e and live + n * e <= budget else None
+            put(1, n * e, top if e else -1, pieces if e else [])
     if stack:
         raise ValueError("unbalanced parenthesis in word text")
-    if group[0] != 1:
+    if group[1] != 1:
         canon.insert(0, "(")
         canon.append(")")
-    arcs = None if group[4] else "".join(out).encode("latin-1")
-    return group[1], "".join(canon), arcs, group[2]
+    arcs = None if group[0] is None else "".join(group[0]).encode("latin-1")
+    return group[2], "".join(canon), arcs, group[3]

@@ -1,8 +1,19 @@
-"""Shared hypothesis strategies for word trees."""
+"""Shared hypothesis strategies for word trees, and the reference expansion."""
 
 import hypothesis.strategies as st
 
 from torusham import Concat, Power, Symbol
+
+
+def expand(w) -> list[int]:
+    """Generator indices of a word tree's expansion, left to right, by plain recursion."""
+    if isinstance(w, Symbol):
+        return [w.label]
+    if isinstance(w, Concat):
+        return [g for part in w.parts for g in expand(part)]
+    if isinstance(w, Power):
+        return expand(w.base) * w.exponent
+    raise TypeError(f"not a word: {w!r}")
 
 
 def word_trees(labels: st.SearchStrategy, max_exponent: int = 4) -> st.SearchStrategy:

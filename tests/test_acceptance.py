@@ -15,7 +15,6 @@ from torusham import (
     endpoint_set,
     enumerate_torus_specs,
     even_distance_cycle_power,
-    expand,
     flat_length,
     ham_cycle_exists_2d,
     ham_cycle_witness,
@@ -28,6 +27,8 @@ from torusham import (
     Power,
     Symbol,
 )
+
+from conftest import expand
 
 def _verdict(name, ok, detail=""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}" + (f" | {detail}" if detail else ""))
@@ -220,7 +221,7 @@ def test_criterion_8_word_algebra_bulk_properties():
         flat = expand(w)
         assert flat_length(w) == len(flat)
         last = start
-        for last in trace(spec, start, w):
+        for last in trace(spec, start, flat):
             pass
         counts = [flat.count(g) for g in range(spec.k)]
         assert last == tuple((c + n) % m for c, n, m in zip(start, counts, spec.moduli))

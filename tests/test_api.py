@@ -32,7 +32,6 @@ def test_public_names_are_pinned():
         "endpoint_set",
         "enumerate_torus_specs",
         "even_distance_cycle_power",
-        "expand",
         "flat_length",
         "ham_cycle_exists_2d",
         "ham_cycle_witness",

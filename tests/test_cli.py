@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import torusham
-from torusham import TorusSpec, cli, expand, hamiltonian_path, paths, verify_ham_path, word_from_text, words
+from torusham import TorusSpec, cli, hamiltonian_path, paths, verify_ham_path, word_from_text, words
 from torusham.cli import certificate_record, word_from_record
+from conftest import expand
 from test_golden import GOLDEN
 
 BASE = [sys.executable, "-m", "torusham"]

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import itertools
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from torusham import (
     Refusal,
     Symbol,
     TorusSpec,
-    expand,
     hamiltonian_path,
     prism_path_arcs,
     staircase_a,
@@ -26,6 +27,8 @@ from torusham import (
 from torusham import paths, words
 from torusham.cli import certificate_record
 from torusham.words import expect_path
+
+from conftest import expand
 
 
 def _prism_walk(m, N, arcs):
@@ -190,12 +193,11 @@ def test_hamiltonian_path_traces_the_certificate_once(monkeypatch, m, k, u, v):
 
     monkeypatch.setattr(paths, "expect_path", counting)
     monkeypatch.setattr(words, "_walk", counting_walk)
-    monkeypatch.setattr(paths, "_walk", counting_walk)
     cert = hamiltonian_path(m, k, u, v)
     assert cert.verified and (cert.start, cert.target) == (u, v)
     assert calls == [(u, v)]
-    # the first 2n inner arcs, to reach the target, then the certificate itself
-    assert walks == [(m,) * (k - 1), (m,) * k]
+    # only the certificate itself: the inner arcs are counted, not walked
+    assert walks == [(m,) * k]
 
 
 def test_certificate_word_renders_the_walked_arcs():
@@ -300,3 +302,14 @@ def test_exhaustive_small_powers():
             else:
                 assert isinstance(got, Refusal)
         assert good == m ** (k - 1)
+
+
+def test_paths_imports_from_words_only_the_certificate_and_expect_path():
+    # the construction reaches the trusted checker through expect_path alone
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(Path(paths.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "words"
+        for alias in node.names
+    ]
+    assert sorted(names) == ["PathCertificate", "expect_path"]

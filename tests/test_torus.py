@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -60,16 +58,6 @@ def test_congruence_examples():
     assert TorusSpec((2, 3, 4)).ham_path_congruence_ok((0, 0, 0), (0, 0, 1))
 
 
-def test_permute_coords_examples():
-    spec = TorusSpec((3, 3, 3))
-    assert spec.permute_coords((0, 0, 2), (1, 2, 0)) == (2, 0, 0)
-    assert spec.permute_coords((1, 2, 0), identity_perm(3)) == (1, 2, 0)
-    with pytest.raises(ValueError, match="unequal"):
-        TorusSpec((2, 3)).permute_coords((1, 2), (1, 0))
-    with pytest.raises(ValueError, match="permutation"):
-        spec.permute_coords((0, 0, 0), (0, 0, 1))
-
-
 def test_perm_helpers():
     assert transposition(4, 1, 3) == (0, 3, 2, 1)
     assert identity_perm(3) == (0, 1, 2)
@@ -100,25 +88,6 @@ def test_walk_length_congruent_to_distance(arcs, start):
         cur = spec.add_step(cur, g)
     g = spec.moduli_gcd
     assert len(arcs) % g == spec.directed_distance(start, cur) % g
-
-
-PERMS = list(itertools.permutations(range(3)))
-
-
-@given(verts, st.sampled_from(PERMS), st.integers(0, 2))
-def test_permute_commutes_with_step(v, perm, g):
-    spec = TorusSpec((5, 5, 5))
-    v = tuple(c % 5 for c in v)
-    left = spec.permute_coords(spec.add_step(v, g), perm)
-    right = spec.add_step(spec.permute_coords(v, perm), perm[g])
-    assert left == right
-
-
-@given(st.sampled_from(PERMS))
-def test_permute_is_bijection(perm):
-    spec = TorusSpec((2, 2, 2))
-    images = {spec.permute_coords(v, perm) for v in spec.vertices()}
-    assert len(images) == spec.vertex_count
 
 
 @given(verts, verts)

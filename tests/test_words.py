@@ -1,14 +1,16 @@
+import ast
 import itertools
 import random
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import generator_words, word_trees
+from conftest import expand, generator_words, word_trees
 from torusham import (
     Concat,
     Cycle,
@@ -17,7 +19,6 @@ from torusham import (
     Symbol,
     TorusSpec,
     cycle_distance,
-    expand,
     flat_length,
     hamiltonian_path,
     staircase_a,
@@ -71,16 +72,15 @@ def test_power_expands_to_repetition(w, j):
 
 def test_trace_examples():
     spec = TorusSpec((3, 3))
-    w = word_from_flat([0, 0, 1])
-    assert list(trace(spec, (0, 0), w)) == [(0, 0), (1, 0), (2, 0), (2, 1)]
+    assert list(trace(spec, (0, 0), [0, 0, 1])) == [(0, 0), (1, 0), (2, 0), (2, 1)]
     spec3 = TorusSpec((2, 2, 2))
-    assert list(trace(spec3, (0, 0, 0), Concat(()))) == [(0, 0, 0)]
+    assert list(trace(spec3, (0, 0, 0), b"")) == [(0, 0, 0)]
 
 
 def test_trace_covers_nine_vertices():
     spec = TorusSpec((3, 3))
     w = Power(Concat((Power(Symbol(0), 2), Symbol(1))), 3)
-    vs = list(trace(spec, (0, 0), w))
+    vs = list(trace(spec, (0, 0), expand(w)))
     assert len(vs) == 10 and vs[-1] == (0, 0)
     assert set(vs) == set(itertools.product(range(3), range(3)))
 
@@ -88,22 +88,22 @@ def test_trace_covers_nine_vertices():
 def test_trace_rejects_bad_symbol():
     spec = TorusSpec((3, 3))
     with pytest.raises(ValueError, match="generator"):
-        list(trace(spec, (0, 0), Symbol(7)))
+        list(trace(spec, (0, 0), [7]))
 
 
 @given(generator_words(3))
 def test_endpoint_agrees_with_trace(w):
     spec = TorusSpec((3, 4, 2))
-    last = None
-    for last in trace(spec, (1, 2, 0), w):
-        pass
     flat = expand(w)
+    last = None
+    for last in trace(spec, (1, 2, 0), flat):
+        pass
     counts = [flat.count(g) for g in range(spec.k)]
     assert last == tuple((c + n) % m for c, n, m in zip((1, 2, 0), counts, spec.moduli))
 
 
 def _naive_ham_path(spec, start, target, w):
-    vs = list(trace(spec, start, w))
+    vs = list(trace(spec, start, expand(w)))
     return (
         len(vs) == spec.vertex_count
         and len(set(vs)) == spec.vertex_count
@@ -176,13 +176,6 @@ def _nested(w, depth):
     return w
 
 
-def test_expand_of_a_deep_word_holds_about_two_copies():
-    # the length guard is only a guard if expanding a word of that length costs about its length
-    out, peak = _peak_bytes(expand, _nested(Power(X1, 100_000), 200))
-    assert len(out) == 100_000
-    assert peak < 3 * sys.getsizeof(out)
-
-
 def test_rendering_a_deep_word_holds_a_few_copies_of_its_text():
     text, peak = _peak_bytes(word_to_text, _nested(Concat((word_from_flat([0] * 300),) * 300), 200))
     assert len(text) > 270_000
@@ -194,6 +187,26 @@ def test_verify_ham_path_refuses_a_power_bomb_before_expanding():
     cert = verify_ham_path(spec, (0, 0), (2, 2), Power(X1, 10**18))
     assert cert.failure == f"length {10**18} != vertex count - 1 = 8"
     assert cert.arcs == b""
+
+
+# a valid-length word with an empty power of a huge power spliced in
+EMPTY_BOMB = Power(Power(X1, 10**12), 0)
+
+
+def test_verify_ham_path_expands_a_tree_under_its_budget():
+    u, v = (0, 0, 0), (2, 0, 0)
+    built = hamiltonian_path(3, 3, u, v)
+    tree = Concat(built.word.parts[:5] + (EMPTY_BOMB,) + built.word.parts[5:])
+    cert, peak = _peak_bytes(verify_ham_path, TorusSpec.power(3, 3), u, v, tree)
+    assert cert.verified and cert.arcs == built.arcs and cert.claim is tree
+    assert peak < 64 * 1024
+
+
+def test_verify_ham_cycle_expands_a_tree_under_its_budget():
+    tree = Concat((EMPTY_BOMB, Power(X1, 3)))
+    cycle, peak = _peak_bytes(verify_ham_cycle, TorusSpec((3,)), tree)
+    assert isinstance(cycle, Cycle) and cycle.arcs == b"\0\0\0"
+    assert peak < 64 * 1024
 
 
 def test_labels_past_a_byte_keep_the_generator_range_check():
@@ -217,6 +230,7 @@ def test_verify_ham_cycle_examples():
     spec = TorusSpec((3, 3))
     good = Power(Concat((Power(Symbol(0), 2), Symbol(1))), 3)
     assert isinstance(verify_ham_cycle(spec, good), Cycle)
+    assert verify_ham_cycle(spec, word_to_text(good)) == Cycle(spec, bytes([0, 0, 1] * 3))
     bad = verify_ham_cycle(spec, Power(Power(Symbol(0), 3), 3))
     assert isinstance(bad, CycleRejection)
     assert bad.reason == "revisits a vertex early"
@@ -456,6 +470,12 @@ BIG_LABEL_TEXTS = word_trees(st.sampled_from([0, 1, 299, 10**20]), max_exponent=
 @example("(x300 x1)^0 x300^2 x1", 3)
 @example("(x1^20 x1^20)^0 x2^3", 26)
 @example("((x1 x2)^3 x1^5)^2 (x3 x400)^0", 40)
+@example("(x1) ^ 2 ^\x1c3", 6)
+@example("(x1)^", 6)
+@example("(^3 x1)", 6)
+@example("()^2 x1", 6)
+@example("((x1^30)^0 x2)^2", 2)
+@example("((x1^30)^0 x2)^2", 1)
 def test_bytes_parser_agrees_with_the_tree_reference(text, budget):
     got = _outcome(lambda t: arcs_from_text(t, budget), text)
     try:
@@ -522,3 +542,15 @@ def test_verify_ham_path_on_text_holds_less_than_the_tree_did():
     # word_from_text then verify_ham_path on its tree peaked at 3,066,000 bytes
     # (CPython 3.11); parsing straight to bytes measured 2,296,000
     assert peak <= 3_066_000
+
+
+def test_words_imports_only_the_stdlib_and_torus():
+    # the trusted checker must not lean on the construction it checks
+    for node in ast.walk(ast.parse(Path(words.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module == "torus", ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
