@@ -145,8 +145,9 @@ def _emit_dot(cert: PathCertificate, stream) -> None:
 
 def cmd_construct(args) -> int:
     try:
-        start = parse_vertex(args.from_, args.k) if args.from_ else (0,) * args.k
+        # --to first: a --k it does not match fails before anything of size --k is built
         target = parse_vertex(args.to, args.k)
+        start = (0,) * len(target) if args.from_ is None else parse_vertex(args.from_, args.k)
         # the cap is checked before anything is built, so it also beats a refusal
         if args.format == "dot" and args.m**args.k > DOT_VERTEX_LIMIT:
             raise ValueError(
@@ -199,14 +200,12 @@ def cmd_verify(args) -> int:
                     target_text = ",".join(map(str, _record_ints(payload, "to")))
             else:
                 word = word_from_record(payload)
-        if args.m is not None:
-            moduli = (args.m,) * args.k
-        if moduli is None:
+        if args.m is None and moduli is None:
             raise ValueError("need --m and --k (or a JSON record with moduli)")
-        spec = TorusSpec(moduli)
+        spec = TorusSpec(moduli) if args.m is None else TorusSpec.power(args.m, args.k)
         if target_text is None:
             raise ValueError("need --to (or a JSON record with a 'to' entry)")
-        start = parse_vertex(start_text, spec.k) if start_text else spec.zero()
+        start = spec.zero() if start_text is None else parse_vertex(start_text, spec.k)
         target = parse_vertex(target_text, spec.k)
         cert = verify_ham_path(spec, start, target, word)
     except (OSError, ValueError, RecursionError, MemoryError) as exc:

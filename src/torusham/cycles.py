@@ -24,35 +24,37 @@ where c_j is the j-th inner vertex, so the staircase distance to
 (v_0, inner distance) is the distance to v.
 
 On arcs the roll is a morphism.  With g+1 the inner arc g moved up one
-coordinate, staircase_a sends g to 0^(m-1) (g+1) and staircase_b sends it
-to (g+1) 0^(m-1); _lift applies either one as a single slice assignment, and
-the staircases themselves are the lifts of the m-cycle bytes(n).
+coordinate, staircase_a sends g to sigma_a(g) = 0^(m-1) (g+1) and
+staircase_b sends it to sigma_b(g) = (g+1) 0^(m-1); _lift applies either
+one as a single slice assignment, and the staircases themselves are the
+lifts of the m-cycle bytes(n).
 
-Every power cycle here is a plan of levels evaluated by one loop,
-_lift_chain: the seed bytes(m), then per level a lift offset and an
-optional transposition.  any_cycle_power takes staircase_a at every level
-and no transposition.  even_distance_cycle_power unrolls the induction into
-such a plan.  It runs outside in: each level above the base moves the last
-nonzero coordinate of its target to the end with a transposition (so the
-inner target, and with it the inner distance d, is nonzero), keeps the
-first coordinate x and goes on with the rest.  A zero target has no
-nonzero coordinate, transposes nothing and ends at staircase_a levels with
-d = 0 all the way up.  The base (i, j) of (Z_m)^2 takes the first rule
-that applies:
+Every power cycle here is a lift chain relabelled once: _lift_chain lifts
+the seed bytes(m) once per level by an offset, m-1 for sigma_a or 0 for sigma_b,
+and a permutation of the generators relabels the result.  any_cycle_power
+takes sigma_a at every level and no relabel.  even_distance_cycle_power
+unrolls the induction into offsets and one arc map perm; the chain reaches
+(v[p] for p in perm), so relabelled by perm it reaches v.  Each level
+above the base needs its inner target nonzero.  Moving the last nonzero
+coordinate of v to the end does that at every level at once, since
+dropping first coordinates keeps it last; for n = 2 there is no such move.
+A zero target has no nonzero coordinate and ends at sigma_a levels with d = 0
+all the way up.
 
-    j + r even   -> staircase_a, d = j*m + r
-    i + r even   -> staircase_a on the swapped target (j, i), d = i*m + r
-    otherwise    -> staircase_b, d = (j-1)*m + r
+One recurrence then gives every level, the base included.  Start from the
+1-dimensional distance d = j, the last coordinate of the permuted target,
+and at each level, with x its coordinate and r = (x + d) % m, take
 
-The last rule is class (2): with j + r and i + r both odd, j = 0 would give
-r = i and i + r even, and r = 0 would need the even sum of the odd i and j
-to be 0 or the odd m.
+    d + r even   -> sigma_a, d = d*m + r
+    otherwise    -> sigma_b, d = (d-1)*m + r
 
-Above the base, with r = (x + d) % m, class (3) picks staircase_a and
-d*m + r when d + r is even, and otherwise staircase_b and (d-1)*m + r.  The
-loop evaluates the levels inside out with one _lift per level and one
-bytes.translate per transposition, which relabels the arcs so that the
-distance to the unpermuted target is d.
+At the base (i, j) this is class (1) when j + r is even and class (2)
+otherwise, except when i + r is even: then perm also swaps its last two
+entries, so the base is the swapped target (j, i), reached by sigma_a at
+i*m + r.  The sigma_b base is class (2): with j + r and i + r both odd, j = 0
+would give r = i and i + r even, and r = 0 would need the even sum of the
+odd i and j to be 0 or the odd m.  Above the base the inner distance d is
+even and nonzero, which is class (3).
 
 Cycles are flat bytes of generator indices (Cycle.arcs).  The builders here
 return them unchecked: the tests trace every builder, and the paths module
@@ -61,7 +63,7 @@ traces every certificate it builds from them.
 
 from __future__ import annotations
 
-from .torus import TorusSpec, Perm, Vertex, transposition
+from .torus import TorusSpec, Perm, Vertex
 from .words import Cycle
 
 
@@ -103,67 +105,58 @@ def _arc_table(perm: Perm) -> bytes:
     return bytes(perm) + bytes(range(len(perm), 256))
 
 
-def _lift_chain(m: int, levels) -> bytes:
-    """Evaluate a plan of levels from the m-cycle bytes(m).
+def _lift_chain(m: int, offsets) -> bytes:
+    """Lift the m-cycle bytes(m) once per offset: m-1 is sigma_a, 0 is sigma_b.
 
-    Level i (from 0) lifts the arcs by _lift at its offset into dimension
-    i + 2, then relabels them by its transposition (a pair of generators)
-    when it has one.
+    Level i (from 0) lifts the arcs by _lift into dimension i + 2; nothing
+    is relabelled.
     """
     arcs = bytes(m)
-    for dim, (at, swap) in enumerate(levels, start=2):
+    for at in offsets:
         arcs = _lift(arcs, m, at)
-        if swap is not None:
-            arcs = arcs.translate(_arc_table(transposition(dim, *swap)))
     return arcs
 
 
-def _even_distance_levels(m: int, v: Vertex) -> tuple[tuple, int]:
-    """(levels, distance) of the even-distance cycle to v, for odd m and len(v) >= 2.
+def _even_distance_levels(m: int, v: Vertex) -> tuple[tuple[int, ...], int, Perm]:
+    """(offsets, distance, perm) of the even-distance cycle to v, for odd m and len(v) >= 2.
 
-    The plan runs outside in and the levels come out inside out, for
-    _lift_chain; the module docstring gives the rules.  A zero target never
-    transposes and takes staircase_a at every level, at distance 0.
+    perm is an arc map (arc g becomes perm[g]): _lift_chain(m, offsets)
+    reaches (v[p] for p in perm) at the distance, and relabelled by perm it
+    reaches v.  The module docstring gives the rules.  A zero target keeps
+    the identity and takes sigma_a at every level, at distance 0.
     """
-    # outside in: (first coordinate, transposition or None) per upper level
-    uppers = []
-    while len(v) > 2:
+    perm = list(range(len(v)))
+    if len(v) > 2:
+        # the last nonzero coordinate moves to the end, and stays last at every inner level
         last = max((idx for idx, c in enumerate(v) if c), default=len(v) - 1)
-        swap = None
-        if last < len(v) - 1:
-            swap = (last, len(v) - 1)
-            v = tuple(v[p] for p in transposition(len(v), *swap))  # its own inverse
-        uppers.append((v[0], swap))
-        v = v[1:]
-
-    # inside out: (lift offset, transposition or None) per level
-    i, j = v
+        perm[last], perm[-1] = perm[-1], perm[last]
+    i, j = v[perm[-2]], v[perm[-1]]
     r = (i + j) % m
-    if (j + r) % 2 == 0:
-        levels, d = [(m - 1, None)], j * m + r
-    elif (i + r) % 2 == 0:
-        levels, d = [(m - 1, (0, 1))], i * m + r
-    else:
-        levels, d = [(0, None)], (j - 1) * m + r
-    for x, swap in reversed(uppers):
-        # only a zero target has inner distance 0, and it stays on staircase_a
-        if d % 2 != 0 or (d == 0 and x != 0):
+    if (j + r) % 2 and (i + r) % 2 == 0:
+        # the base (i, j) is reached on the swapped target (j, i)
+        perm[-2], perm[-1] = perm[-1], perm[-2]
+    *xs, d = (v[p] for p in perm)
+    offsets = []
+    for level, x in enumerate(reversed(xs)):
+        # above the base only a zero target has inner distance 0, and it stays on sigma_a
+        if level and (d % 2 != 0 or (d == 0 and x != 0)):
             raise AssertionError(f"inner distance {d} is odd, or 0 under x = {x}")
         r = (x + d) % m
         if (d + r) % 2 == 0:
-            levels.append((m - 1, swap))
+            offsets.append(m - 1)
             d = d * m + r
         else:
-            levels.append((0, swap))
+            offsets.append(0)
             d = (d - 1) * m + r
-    return tuple(levels), d
+    return tuple(offsets), d, tuple(perm)
 
 
 def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int]:
     """Hamiltonian cycle on (Z_m)^n with even distance to v, for odd m >= 3.
 
     Returns (cycle, distance) with the cycle's distance from 0 to v itself:
-    _even_distance_levels plans the levels and _lift_chain evaluates them.
+    _even_distance_levels plans the offsets and perm, _lift_chain lifts by
+    the offsets, and one relabel by perm carries the chain to v.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"even-distance cycles need odd m >= 3, got {m}")
@@ -171,8 +164,8 @@ def even_distance_cycle_power(m: int, n: int, v: Vertex) -> tuple[Cycle, int]:
         raise ValueError(f"even-distance cycles need dimension n >= 2, got {n}")
     spec = TorusSpec.power(m, n)
     spec.require_vertex(v)
-    levels, d = _even_distance_levels(m, v)
-    return Cycle(spec, _lift_chain(m, levels)), d
+    offsets, d, perm = _even_distance_levels(m, v)
+    return Cycle(spec, _lift_chain(m, offsets).translate(_arc_table(perm))), d
 
 
 def any_cycle_power(m: int, n: int) -> Cycle:
@@ -184,7 +177,7 @@ def any_cycle_power(m: int, n: int) -> Cycle:
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    return Cycle(TorusSpec.power(m, n), _lift_chain(m, ((m - 1, None),) * (n - 1)))
+    return Cycle(TorusSpec.power(m, n), _lift_chain(m, (m - 1,) * (n - 1)))
 
 
 def _any_cycle_distance(m: int, v: Vertex) -> int:

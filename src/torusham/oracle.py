@@ -203,6 +203,8 @@ def enumerate_torus_specs(k: int, max_vertices: int) -> Iterator[TorusSpec]:
     """All k-coordinate specs with nondecreasing moduli and bounded size."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > max_vertices.bit_length():
+        return  # 2^k > max_vertices, so no spec fits
 
     def rec(prefix: list[int], low: int, budget: int):
         if len(prefix) == k:

@@ -18,16 +18,19 @@ c_{2n} - x_1 = w.  The b arcs sit at fixed offsets of each m-arc block, so
 the substitution is a few slice assignments of the shifted inner arcs.
 
 The construction is a Term of O(k) integers, made by plan and evaluated by
-evaluate.  plan is pure integer arithmetic: it validates, refuses on the
-congruence, and picks tau, the inner cycle's levels for the cycles module's
-lift chain, and n.  The parity of m only picks the levels.  For odd m the
-parity-targeted levels come from the cycles module.  For even m any
-hamiltonian cycle of H works: arcs of Cay(H; S - x_1) lower the first
-coordinate by one, so first-coordinate parity bipartitions H and forces the
-distance to w + x_1 even once a transposition tau moves an odd coordinate
-of w to the front (the rolled arcs are relabelled back by tau); so the
-levels are staircase_a's, whose distance has a closed form.  evaluate is
-the only code that builds arcs.  It does not trace the inner cycle:
+evaluate, and it is a straight pipeline: a lift chain of the two staircase
+morphisms builds the inner cycle, one roll makes the path, one relabel by
+the permutation tau carries it to v - u, and one walk checks it.  plan is
+pure integer arithmetic: it validates, refuses on the congruence, and
+picks the chain's lift offsets (m-1 for sigma_a, 0 for sigma_b), n and tau.
+The parity of m only picks the offsets and tau.  For odd m they come from
+the cycles module's even-distance plan, whose arc map perm becomes tau on
+the inner generators, with tau[0] = 0.  For even m any hamiltonian cycle
+of H works: arcs of Cay(H; S - x_1) lower the first coordinate by one, so
+first-coordinate parity bipartitions H and forces the distance to w + x_1
+even once a transposition tau moves an odd coordinate of w to the front;
+so every offset is sigma_a's, whose distance has a closed form.  evaluate
+is the only code that builds arcs.  It does not trace the inner cycle:
 counting its first 2n arcs per generator checks that they end at w[1:],
 since a walk from 0 in an abelian group ends at its arc counts.  The
 certificate bytes are traced once, from u to v; the certificate renders
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .torus import Perm, TorusSpec, Vertex, identity_perm, transposition
+from .torus import Perm, TorusSpec, Vertex, transposition
 from .words import PathCertificate, expect_path
 from .cycles import (
     _SHIFT,
@@ -123,16 +126,16 @@ class Refusal:
 class Term:
     """The construction of a path from 0 to the relative target, as O(k) integers.
 
-    `levels` is the inner cycle of (Z_m)^(k-1) as a lift chain: per level a
-    lift offset and an optional transposition (a pair of generators).  Its
-    first 2n arcs end at w[1:].  Rolled, the inner cycle gives a path from 0
-    to `w`, and relabelled by the transposition or identity `tau` a path
-    from 0 to v - u, which is `w` with two coordinates exchanged by tau.
+    `levels` is the inner cycle of (Z_m)^(k-1) as a lift chain: one lift
+    offset per level, m-1 for sigma_a or 0 for sigma_b.  Its first 2n arcs
+    end at w[1:].  Rolled, the inner cycle gives a path from 0 to `w`, and
+    relabelled by the permutation `tau` (arc g becomes tau[g]) a path from 0
+    to v - u, so w[g] is coordinate tau[g] of v - u.
     """
 
     m: int
     k: int
-    levels: tuple[tuple[int, tuple[int, int] | None], ...]
+    levels: tuple[int, ...]
     n: int
     tau: Perm
     w: Vertex
@@ -143,9 +146,9 @@ def plan(m: int, k: int, u: Vertex, v: Vertex) -> Term | Refusal:
 
     Pure integer arithmetic on O(k) numbers: it validates the inputs like
     hamiltonian_path and allocates nothing of size m^k.  Odd m takes the
-    even-distance levels and tau the identity; even m takes staircase_a at
-    every level, its closed-form distance and the tau that moves an odd
-    coordinate to the front.
+    even-distance offsets, and tau is their arc map on the inner generators;
+    even m takes sigma_a at every level, its closed-form distance and the
+    tau that moves an odd coordinate to the front.
     """
     if m < 2:
         raise ValueError(f"cycle length must be >= 2, got {m}")
@@ -163,13 +166,14 @@ def plan(m: int, k: int, u: Vertex, v: Vertex) -> Term | Refusal:
     if residue != m - 1:
         return Refusal(spec, u, v, residue, m - 1)
     if m % 2 == 1:
-        tau, w = identity_perm(k), diff
-        levels, dist = _even_distance_levels(m, w[1:])
+        levels, dist, perm = _even_distance_levels(m, diff[1:])
+        tau = (0,) + tuple(p + 1 for p in perm)
     else:
         # the coordinate sum is odd, so some coordinate is: move the first one to the front
         tau = transposition(k, 0, next(i for i, c in enumerate(diff) if c % 2 == 1))
-        w = tuple(diff[p] for p in tau)  # a transposition is its own inverse
-        levels, dist = ((m - 1, None),) * (k - 2), _any_cycle_distance(m, w[1:])
+        levels = (m - 1,) * (k - 2)
+        dist = _any_cycle_distance(m, tuple(diff[p] for p in tau[1:]))
+    w = tuple(diff[p] for p in tau)
     if dist % 2 != 0:
         raise AssertionError(f"cycle distance {dist} to {w[1:]} is odd")
     return Term(m, k, levels, dist // 2, tau, w)

@@ -51,6 +51,10 @@ class TorusSpec:
         """The k-th cartesian power of a directed m-cycle."""
         if k < 1:
             raise ValueError(f"power needs k >= 1, got {k}")
+        if k >= 64:
+            # m >= 2 gives m^k >= 2^64: check m alone, before building k copies of it
+            cls((m,))
+            raise ValueError("vertex count overflows the platform integer size")
         return cls((m,) * k)
 
     @property

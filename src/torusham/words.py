@@ -33,7 +33,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Union
 
 from .torus import TorusSpec, Vertex
@@ -362,9 +362,11 @@ def cycle_distance(c: Cycle, v: Vertex) -> int:
 # Nested text form, e.g. ((x1^1 x2^2)^1 (x1^1 x2 x1)^6 (x1^1 x2^2)^1 x1^1 x2).
 # Generator indices render as x1..xk; any other letter token is an error.
 # The flat JSON form is just a list of generator indices.  Both forms
-# round-trip through the Word tree exactly.  word_from_text is one loop over
-# tokens with an explicit stack of open groups; arcs_from_text reads the
-# same tokens straight to bytes, and text_from_arcs renders bytes back.
+# round-trip through the Word tree exactly.  word_from_text and
+# arcs_from_text both split the text on groups, keep an explicit stack of
+# open groups and read leaf tokens with _leaf; word_from_text builds the
+# tree, arcs_from_text goes straight to bytes, and text_from_arcs renders
+# bytes back.
 
 # One token per generator with its exponent chain (x3^2, x1 ^ 2^3), per
 # group exponent, per other letter or digit run, and per bracket or bare ^.
@@ -391,50 +393,41 @@ def word_to_text(w: Word) -> str:
     )
 
 
-class _Leaves(dict):
-    """Leaf token text -> its node, built on first sight, so equal leaves share one node."""
-
-    def __missing__(self, token: str) -> Word:
-        name, *exponents = _CARET_RE.split(token)
-        if not _GEN_RE.match(name):
-            raise ValueError(f"unexpected token {name!r} in word text")
-        index = int(name[1:])
-        if index < 1:
-            raise ValueError(f"generator token {name!r} must be x1 or higher")
-        node: Word = self[name] if exponents else Symbol(index - 1)
-        for e in exponents:
-            node = Power(node, int(e))
-        self[token] = node
-        return node
-
-
 def word_from_text(text: str) -> Word:
-    """Parse the nested text form, iteratively: nesting depth costs no recursion."""
+    """Parse the nested text form, iteratively: nesting depth costs no recursion.
+
+    It splits on groups as arcs_from_text does: each run between brackets is
+    tokenized in slices of about _SLICE characters, and a group's exponent
+    chain is read from its ")".
+    """
     if _BAD_CHAR_RE.search(text):
         raise ValueError("unrecognized characters in word text")
-    leaves = _Leaves()
+    nodes: dict = {}  # leaf token -> its node, and label -> its Symbol, so equal leaves share one
     groups: list[list[Word]] = []
     items: list[Word] = []
-    for tok in _TOKEN_RE.findall(text):
-        c = tok[0]
-        if c == "(":
+    for i, seg in enumerate(_GROUP_RE.split(text)):
+        if i % 2 == 0:
+            # slices bound the token lists, and a slice after the first never starts with a ^
+            for pos, end in _cuts(seg, _SLICE):
+                run = _TOKEN_RE.findall(seg, pos, end)
+                # a ^ token with no item before it in its group; after an item, _leaf rejects it
+                if run and run[0][0] == "^" and not items:
+                    raise ValueError("unexpected token '^' in word text")
+                for tok in dict.fromkeys(run):
+                    if tok not in nodes:
+                        label, exponents = _leaf(tok)
+                        symbol = nodes.setdefault(label, Symbol(label))
+                        nodes[tok] = reduce(Power, exponents, symbol)
+                items += map(nodes.__getitem__, run)
+        elif seg == "(":
             groups.append(items)
             items = []
-        elif c == ")":
-            if not groups:
-                raise ValueError("unbalanced parenthesis in word text")
-            node = Concat(tuple(items))
+        elif not groups:
+            raise ValueError("unbalanced parenthesis in word text")
+        else:
+            node = reduce(Power, map(int, _CARET_RE.split(seg)[1:]), Concat(tuple(items)))
             items = groups.pop()
             items.append(node)
-        elif c == "^":
-            # a leaf token holds its own exponents, so a ^ follows ")", a ^e or nothing
-            if not items:
-                raise ValueError("unexpected token '^' in word text")
-            if tok == "^":
-                raise ValueError("exponent must be a non-negative integer")
-            items[-1] = Power(items[-1], int(tok[1:].lstrip()))
-        else:
-            items.append(leaves[tok])
     if groups:
         raise ValueError("unbalanced parenthesis in word text")
     if len(items) == 1:
@@ -504,8 +497,8 @@ def text_from_arcs(arcs: bytes, g: int | None = None) -> str:
     return "".join(pieces)
 
 
-def _leaf(token: str) -> tuple[int, int, str]:
-    """(label, expanded length, canonical text) of a leaf token, with word_from_text's errors."""
+def _leaf(token: str) -> tuple[int, list[int]]:
+    """(label, exponent chain) of a leaf token; the one leaf reader of both text parsers."""
     if token[0] == "^":
         # bare, or after a token that fails first: a leaf absorbs the exponents that follow it
         raise ValueError("exponent must be a non-negative integer")
@@ -515,8 +508,7 @@ def _leaf(token: str) -> tuple[int, int, str]:
     index = int(name[1:])
     if index < 1:
         raise ValueError(f"generator token {name!r} must be x1 or higher")
-    exponents = list(map(int, exponents))
-    return index - 1, math.prod(exponents), f"x{index}" + "".join(map("^{}".format, exponents))
+    return index - 1, list(map(int, exponents))
 
 
 def _cuts(seg: str, size: int):
@@ -603,9 +595,12 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
                 bad = {}
                 for tok in new:
                     try:
-                        labels[tok], lengths[tok], texts[tok] = _leaf(tok)
+                        labels[tok], exponents = _leaf(tok)
                     except ValueError as exc:
                         bad[tok] = exc
+                        continue
+                    lengths[tok] = math.prod(exponents)
+                    texts[tok] = f"x{labels[tok] + 1}" + "".join(map("^{}".format, exponents))
                 if bad:
                     raise next(bad[tok] for tok in run if tok in bad)
                 n = sum(map(lengths.__getitem__, run))

@@ -4,8 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+import hypothesis.strategies as st
 
 import torusham
 from torusham import TorusSpec, cli, hamiltonian_path, paths, verify_ham_path, word_from_text, words
@@ -236,6 +239,134 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["construct", "--m", "3", "--k", str(10**7), "--to", "2,0,0"], 1),
+        (["verify", "--m", "3", "--k", str(10**7), "--to", "2,0,0"], 1),
+        (["verify", "--m", "1", "--k", str(10**7), "--to", "2,0,0"], 1),
+        # no spec has 10^7 coordinates and at most 64 vertices
+        (["scan", "--max-vertices", "64", "--k", str(10**7)], 0),
+    ],
+    ids=["construct", "verify", "verify-m1", "scan"],
+)
+def test_huge_k_is_answered_before_allocating(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x1^26"))
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code:
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert peak < 1 << 20
+
+
+def test_empty_start_is_an_error(monkeypatch, capsys):
+    # an empty start is no vertex, not the zero vertex: like an empty target it is refused
+    record = json.loads(CUBE_RECORD)
+    record["from"] = []
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(record)))
+    for argv in (["construct", "--m", "3", "--k", "3", "--from", "", "--to", "2,0,0"], ["verify"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad vertex component '' at position 1\n"
+
+
+# verify fuzzing: specs stay small or overflow, so no input can ask for a huge expansion
+_SMALL_INT = st.integers(-2, 6)
+_WILD_INT = st.one_of(_SMALL_INT, st.sampled_from([10**7, 2**63, 10**30]))
+_WORD_TOKENS = ["x1", "x2", "x3", "x1^2", "x2^8", "(", ")", ")^2", ")^0"]
+_JUNK_TOKENS = ["x0", "x9", "y", "3", "^", "#", "\u0663", "[", "{", "\"", "\n", "^999999999999"]
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_WORD_TOKENS), min_size=1, max_size=16).map(" ".join),
+    st.lists(st.sampled_from(_WORD_TOKENS + _JUNK_TOKENS), max_size=12).map("".join),
+    st.text(max_size=20),
+    # deep or huge, but built in one piece
+    st.integers(0, 3000).map(lambda d: "(" * d + "x1^999999999" + ")" * d),
+    st.integers(0, 3000).map(lambda d: "x1" + "^1" * d + "^" * (d % 2)),
+    st.just("(x1^999999999999)^999999999999 x2"),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _WILD_INT, st.floats(allow_nan=False), _TEXTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(["nested", "flat", "x"]), inner)
+    ),
+    max_leaves=8,
+)
+# flat arrays, mostly of small ints, with bad entries among them
+_FLAT = st.lists(st.one_of(_SMALL_INT, _JSON_VALUES), max_size=30)
+_RECORDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "moduli": st.one_of(st.lists(_SMALL_INT, max_size=4), _JSON_VALUES),
+        "from": st.one_of(st.lists(_SMALL_INT, max_size=4), _JSON_VALUES),
+        "to": st.one_of(st.lists(_SMALL_INT, max_size=4), _JSON_VALUES),
+        "word": st.one_of(
+            _TEXTS,
+            st.fixed_dictionaries({"nested": _TEXTS}),
+            st.fixed_dictionaries({"flat": _FLAT}),
+            _JSON_VALUES,
+        ),
+    },
+).map(json.dumps)
+_STDIN = st.one_of(
+    _TEXTS,
+    st.just(CUBE_RECORD),
+    st.just(CUBE_WORD),
+    _RECORDS,
+    _FLAT.map(json.dumps),
+    # malformed JSON: a record cut short
+    st.tuples(_RECORDS, st.integers(1, 40)).map(lambda rec: rec[0][: -rec[1]]),
+    st.integers(1, 30000).map(lambda d: "[" * d),
+)
+_VERTEX_TEXT = st.one_of(
+    st.lists(_SMALL_INT, max_size=4).map(lambda v: ",".join(map(str, v))), st.text(max_size=8)
+)
+
+
+def _flags(spec, start, target):
+    pairs = (("--from", start), ("--to", target))
+    return spec + [f"{flag}={value}" for flag, value in pairs if value is not None]
+
+
+_VERTEX_FLAG = st.none() | st.sampled_from(["2,0,0", "0,1", "0,0,0"]) | _VERTEX_TEXT
+_ARGV = st.one_of(
+    # a spec and target that hold, so the word decides
+    st.sampled_from([["--m=3", "--k=3", "--to=2,0,0"], ["--m=2", "--k=2", "--to=0,1"], []]),
+    st.builds(
+        _flags,
+        st.one_of(
+            st.sampled_from([[], ["--m=3", "--k=3"], ["--m=3"], ["--k=4"]]),
+            st.tuples(_WILD_INT, _WILD_INT).map(lambda mk: [f"--m={mk[0]}", f"--k={mk[1]}"]),
+        ),
+        _VERTEX_FLAG,
+        _VERTEX_FLAG,
+    ),
+)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV, stdin=_STDIN)
+def test_verify_fuzz_keeps_the_exit_contract(monkeypatch, capsys, argv, stdin):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = cli.main(["verify", *argv])
+    event(f"exit {code}")
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    if code == 0:
+        assert captured.err == "" and json.loads(captured.out)["verified"] is True
+    elif code == 1:
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert code == 2 and captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("not a hamiltonian path: ")
 
 
 def test_verify_without_spec_is_an_error():

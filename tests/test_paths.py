@@ -235,6 +235,8 @@ def test_plan_is_pure_arithmetic(m, k):
     finally:
         tracemalloc.stop()
     assert isinstance(term, paths.Term) and len(term.levels) == k - 2
+    assert all(at in (0, m - 1) for at in term.levels)
+    assert sorted(term.tau) == list(range(k))
     assert peak < 64 * 1024
 
 
