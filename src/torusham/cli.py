@@ -81,8 +81,8 @@ def endpoint_record(report: EndpointReport) -> dict:
     }
 
 
-def word_from_record(value) -> str | list[int]:
-    """The word of a record: its nested text as is, or a checked list for a flat array.
+def word_from_record(value) -> str | bytearray | list[int]:
+    """The word of a record: its nested text as is, or a flat array checked by _checked_flat.
 
     verify_ham_path parses the text, once the spec gives it a length budget.
     """

@@ -11,9 +11,9 @@ the exact sequence its trace walked.  Constructions carry arcs as bytes
 (Cycle.arcs) and check them once; their nested text is rendered straight
 from the bytes (text_from_arcs), and their run-length tree only on demand.
 The verifiers take a tree, nested text or flat arcs (bytes, or a checked
-list of ints).  arcs_from_text is the one expander of nested words: it
-parses text straight to bytes and checks each length against the budget
-before every repetition.  A tree's length is checked first by a fold, and
+bytearray or list of ints).  arcs_from_text is the one expander of nested
+words: it parses text straight to bytes and checks each length against the
+budget before every repetition.  A tree's length is checked first by a fold, and
 a tree within budget is expanded through its text.  Tree walks (_fold) run
 C-level loops over each Concat's parts and one Python call per distinct
 part; the text parsers never recurse, and the bytes parser loops in Python
@@ -21,10 +21,13 @@ once per parenthesis and distinct leaf token.  The tree, word_from_text
 and word_to_text remain as the reference the tests hold the flat codec to.
 
 Verification is exact: a visited set sized to the vertex count, no
-probabilistic shortcuts.  The construction does not trace its intermediate
-cycles; expect_path traces each certificate once before it leaves the
-library, so the verifiers are the one place allowed to be boring and
-thorough.
+probabilistic shortcuts.  The one walk (_walk) marks arcs slice by slice
+with no check per arc and confirms each slice by one count of the unmarked
+vertices, which falls short exactly when the slice repeats a vertex; only
+such a slice is walked again, from a snapshot, checking every arc to locate
+the first repeat.  The construction does not trace its intermediate cycles;
+expect_path traces each certificate once before it leaves the library, so
+the verifiers are the one place allowed to be boring and thorough.
 """
 
 from __future__ import annotations
@@ -99,8 +102,10 @@ def _fold(w: Word, symbol: Callable, concat: Callable, power: Callable):
     return value(w)
 
 
-# flat arcs: bytes, or a list of non-negative ints such as _checked_flat returns
-_FLAT = (bytes, list)
+# flat arcs: bytes, or a list or bytearray of non-negative ints such as _checked_flat returns
+_FLAT = (bytes, bytearray, list)
+# every byte value, in order: its first k are the generator indices of k cycles
+_BYTE_VALUES = bytes(range(256))
 
 
 def flat_length(w: Word) -> int:
@@ -134,36 +139,64 @@ def _weights(moduli: tuple[int, ...]) -> list[int]:
 
 
 def _walk(
-    spec: TorusSpec, start: Vertex, arcs: Iterable[int], marked: tuple[Vertex, ...] = ()
+    spec: TorusSpec, start: Vertex, arcs: bytes, marked: tuple[Vertex, ...] = ()
 ) -> tuple[int | None, Vertex]:
-    """The one exact trace: walk validated generator arcs from `start`.
+    """The one exact trace: walk validated generator arcs, as bytes, from `start`.
 
     Marks `start`, every vertex in `marked` and each vertex the walk lands
     on, in a bytearray keyed by flat index.  Stops at the first arc that
     lands on an already marked vertex and returns its 1-based position with
     that vertex; otherwise returns None with the final vertex.
+
+    The arcs are walked in at most 16 slices of at least _SLICE arcs.  A
+    slice is marked with no check per arc, then confirmed by one count: a
+    slice that lands only on unmarked vertices turns exactly one zero into
+    a one per arc, and any landing on a marked vertex leaves fewer zeros.
+    Only a slice whose count falls short is walked again, from a snapshot
+    of its start state and checking every arc, to find the first repeat.
     """
     moduli = spec.moduli
     weights = _weights(moduli)
+    last = [m - 1 for m in moduli]
+    wrap = [(m - 1) * wt for m, wt in zip(moduli, weights)]
     seen = bytearray(spec.vertex_count)
     for v in marked:
         seen[sum(c * wt for c, wt in zip(v, weights))] = 1
     coords = list(start)
     idx = sum(c * wt for c, wt in zip(coords, weights))
     seen[idx] = 1
-    pos = 0
-    for g in arcs:
-        pos += 1
-        c = coords[g] + 1
-        if c == moduli[g]:
-            c = 0
-            idx -= (moduli[g] - 1) * weights[g]
-        else:
-            idx += weights[g]
-        coords[g] = c
-        if seen[idx]:
-            return pos, tuple(coords)
-        seen[idx] = 1
+    free = seen.count(0)
+    size = max(_SLICE, -(-len(arcs) // 16))
+    snap = bytearray()
+    for lo in range(0, len(arcs), size):
+        part = arcs[lo : lo + size]
+        snap[:] = seen
+        at, at_coords = idx, coords[:]
+        for g in part:
+            c = coords[g]
+            if c == last[g]:
+                coords[g] = 0
+                idx -= wrap[g]
+            else:
+                coords[g] = c + 1
+                idx += weights[g]
+            seen[idx] = 1
+        free -= len(part)
+        if seen.count(0) == free:
+            continue
+        # a repeat in this slice: walk it again from its start, checking each landing
+        seen, idx, coords = snap, at, at_coords
+        for pos, g in enumerate(part, lo + 1):
+            c = coords[g]
+            if c == last[g]:
+                coords[g] = 0
+                idx -= wrap[g]
+            else:
+                coords[g] = c + 1
+                idx += weights[g]
+            if seen[idx]:
+                return pos, tuple(coords)
+            seen[idx] = 1
     return None, tuple(coords)
 
 
@@ -242,14 +275,14 @@ class Cycle:
 @dataclass(frozen=True)
 class CycleRejection:
     spec: TorusSpec
-    word: Word | str | bytes | list[int]
+    word: Word | str | bytes | bytearray | list[int]
     reason: str
     position: int | None = None
     vertex: Vertex | None = None
 
 
 def _claim(
-    spec: TorusSpec, w: Word | str | bytes | list[int], budget: int
+    spec: TorusSpec, w: Word | str | bytes | bytearray | list[int], budget: int
 ) -> tuple[int, Word | str | None, bytes]:
     """(length, claim, arcs) of a word tree, nested text or flat arcs.
 
@@ -258,34 +291,50 @@ def _claim(
     A claim whose length is not budget keeps no arcs, except flat arcs
     that fit in bytes.  Otherwise every arc is checked to be a generator
     index of spec, and claim is the tree, the canonical text or None.
+    A list or bytearray is converted by one bytes() call and range-checked
+    by one translate; only a list with an entry past a byte takes its max.
     """
     if isinstance(w, str):
         n, claim, arcs, top = arcs_from_text(w, budget)
-    elif isinstance(w, _FLAT):
+    elif isinstance(w, bytes):
         n, claim, arcs, top = len(w), None, w, max(w, default=-1)
+    elif isinstance(w, _FLAT):
+        n, claim = len(w), None
+        try:
+            arcs = bytes(w)
+        except ValueError:
+            # the largest entry past a byte is what the range check reports; a negative is refused
+            arcs, top = b"", max(w)
+            if top < 256:
+                raise
+        else:
+            # the arcs left once every generator index is deleted
+            top = max(arcs.translate(None, _BYTE_VALUES[: spec.k]), default=-1)
     else:
         n, claim, arcs, top = flat_length(w), w, None, -1
         if n == budget:
             arcs, top = arcs_from_text(word_to_text(w), budget)[2:]
     if n != budget:
         # refused flat arcs are kept when they fit in bytes; refused text or trees keep none
-        return n, claim, bytes(w) if isinstance(w, _FLAT) and top < 256 else b""
+        return n, claim, bytes(arcs) if isinstance(w, _FLAT) and top < 256 else b""
     if top >= spec.k:
         raise ValueError(f"arc {top} is not a generator index in [0, {spec.k})")
     return n, claim, bytes(arcs)
 
 
 def verify_ham_path(
-    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | str | bytes | list[int]
+    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | str | bytes | bytearray | list[int]
 ) -> PathCertificate:
     """Check that a word tree, nested text or flat arcs trace a hamiltonian path.
 
-    Flat arcs are bytes or a list of non-negative ints.  Accepts exactly the
-    words whose trace has vertex_count distinct vertices (hence all of them)
-    and ends at target.  Trees and text are expanded to bytes under the
-    budget vertex_count - 1, a tree only once its length is right.
-    Failures are reported in the certificate, never raised; text that does
-    not parse raises word_from_text's ValueError.
+    Flat arcs are bytes, or a list or bytearray of non-negative ints.
+    Accepts exactly the words whose trace has vertex_count distinct vertices
+    (hence all of them) and ends at target.  Trees and text are expanded to
+    bytes under the budget vertex_count - 1, a tree only once its length is
+    right.  A wrong length, a repeated vertex and a wrong endpoint are
+    reported in the certificate, not raised.  Two faults do raise
+    ValueError: text that does not parse (word_from_text's message), and a
+    word of the right length with an arc of k or more.
     """
     spec.require_vertex(start)
     spec.require_vertex(target)
@@ -314,12 +363,16 @@ def verify_ham_path(
     return PathCertificate(spec, start, target, arcs, claim, True)
 
 
-def verify_ham_cycle(spec: TorusSpec, w: Word | str | bytes | list[int]) -> Cycle | CycleRejection:
+def verify_ham_cycle(
+    spec: TorusSpec, w: Word | str | bytes | bytearray | list[int]
+) -> Cycle | CycleRejection:
     """Check that a word tree, nested text or flat arcs trace a hamiltonian cycle based at 0.
 
     Accepts exactly the words of length vertex_count whose trace visits
     every vertex once and returns to 0; trees and text are expanded under
-    that budget.  Rejections are reported, not raised.
+    that budget.  Rejections are reported, not raised; as in
+    verify_ham_path, text that does not parse and a word of the right
+    length with an arc of k or more raise ValueError.
     """
     count = spec.vertex_count
     n, _, arcs = _claim(spec, w, count)
@@ -435,17 +488,26 @@ def word_from_text(text: str) -> Word:
     return Concat(tuple(items))
 
 
-def _checked_flat(arcs: Iterable[int]) -> list[int]:
-    """The flat form as a list, every entry checked to be a non-negative int in C loops.
+def _checked_flat(arcs: Iterable[int]) -> bytearray | list[int]:
+    """The flat form as a bytearray, or as a list when an entry is past a byte.
 
-    The verifiers take the checked list as flat arcs.
+    Every entry is checked to be a non-negative int, in C passes: one over
+    the types and one bytearray() conversion.  Only a conversion that fails
+    looks for a negative entry.  The verifiers take either result as flat
+    arcs.
     """
-    arcs = list(arcs)
+    if not isinstance(arcs, list):
+        arcs = list(arcs)
     # set() would merge 1, 1.0 and True, so the check is on the types
-    if not set(map(type, arcs)) <= {int} or min(arcs, default=0) < 0:
-        bad = next(g for g in arcs if type(g) is not int or g < 0)
-        raise ValueError(f"flat form entries must be non-negative ints, got {bad!r}")
-    return arcs
+    if set(map(type, arcs)) <= {int}:
+        try:
+            return bytearray(arcs)
+        except ValueError:
+            # a negative entry, or one past a byte
+            if min(arcs) >= 0:
+                return arcs
+    bad = next(g for g in arcs if type(g) is not int or g < 0)
+    raise ValueError(f"flat form entries must be non-negative ints, got {bad!r}")
 
 
 def word_from_flat(arcs: Iterable[int]) -> Concat:

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for word trees, and the reference expansion."""
+"""Shared hypothesis strategies for word trees, and the reference expansion and walk."""
 
 import hypothesis.strategies as st
 
@@ -14,6 +14,37 @@ def expand(w) -> list[int]:
     if isinstance(w, Power):
         return expand(w.base) * w.exponent
     raise TypeError(f"not a word: {w!r}")
+
+
+def walk_reference(spec, start, arcs, marked=()):
+    """(first repeat position, vertex) or (None, end vertex), checking every landing.
+
+    The per-arc loop the sliced walk words._walk must agree with.
+    """
+    moduli = spec.moduli
+    weights = [1] * spec.k
+    for i in range(spec.k - 2, -1, -1):
+        weights[i] = weights[i + 1] * moduli[i + 1]
+    seen = bytearray(spec.vertex_count)
+    for v in marked:
+        seen[sum(c * wt for c, wt in zip(v, weights))] = 1
+    coords = list(start)
+    idx = sum(c * wt for c, wt in zip(coords, weights))
+    seen[idx] = 1
+    pos = 0
+    for g in arcs:
+        pos += 1
+        c = coords[g] + 1
+        if c == moduli[g]:
+            c = 0
+            idx -= (moduli[g] - 1) * weights[g]
+        else:
+            idx += weights[g]
+        coords[g] = c
+        if seen[idx]:
+            return pos, tuple(coords)
+        seen[idx] = 1
+    return None, tuple(coords)
 
 
 def word_trees(labels: st.SearchStrategy, max_exponent: int = 4) -> st.SearchStrategy:

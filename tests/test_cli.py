@@ -211,6 +211,54 @@ def test_verify_bad_input_is_one_error_line(flags, stdin):
     assert len(checked.stderr.splitlines()) == 1
 
 
+CUBE_ARCS = expand(word_from_text(CUBE_WORD))
+NOT_AN_INT = "error: flat form entries must be non-negative ints, got {}\n"
+NOT_A_GENERATOR = "error: arc {} is not a generator index in [0, 3)\n"
+SHORT = "not a hamiltonian path: length 2 != vertex count - 1 = 26\n"
+
+
+@pytest.mark.parametrize(
+    "arcs, code, stderr, kept",
+    [
+        ([True] + CUBE_ARCS[1:], 1, NOT_AN_INT.format(True), None),
+        ([1.0] + CUBE_ARCS[1:], 1, NOT_AN_INT.format(1.0), None),
+        ([-1] + CUBE_ARCS[1:], 1, NOT_AN_INT.format(-1), None),
+        # an entry past a byte is no bad entry, but a bad one after it still is
+        ([300, -1], 1, NOT_AN_INT.format(-1), None),
+        ([300, True], 1, NOT_AN_INT.format(True), None),
+        # the right length: the generator range check names the largest arc
+        ([10**30] + CUBE_ARCS[1:], 1, NOT_A_GENERATOR.format(10**30), None),
+        ([300] + CUBE_ARCS[1:-1] + [299], 1, NOT_A_GENERATOR.format(300), None),
+        ([3] + CUBE_ARCS[1:], 1, NOT_A_GENERATOR.format(3), None),
+        # a wrong length is answered first; the arcs are kept only when they fit in bytes
+        ([10**30, 0], 2, SHORT, b""),
+        ([0, 300], 2, SHORT, b""),
+        ([0, 255], 2, SHORT, b"\0\xff"),
+        ([2, 1], 2, SHORT, b"\2\1"),
+        (CUBE_ARCS[:6] + CUBE_ARCS[7:5:-1] + CUBE_ARCS[8:], 2,
+         "not a hamiltonian path: repeated vertex at step 10\n",
+         bytes(CUBE_ARCS[:6] + CUBE_ARCS[7:5:-1] + CUBE_ARCS[8:])),
+        (CUBE_ARCS, 0, "", bytes(CUBE_ARCS)),
+    ],
+    ids=[
+        "true", "float", "negative", "negative-after-300", "true-after-300", "1e30", "300",
+        "3", "1e30-short", "300-short", "255-short", "short", "swapped", "valid",
+    ],
+)
+def test_verify_flat_array_messages(monkeypatch, capsys, arcs, code, stderr, kept):
+    certs = []
+
+    def recording(*args):
+        certs.append(verify_ham_path(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(cli, "verify_ham_path", recording)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(arcs)))
+    assert cli.main(["verify", "--m", "3", "--k", "3", "--to", "2,0,0"]) == code
+    assert capsys.readouterr().err == stderr
+    assert (certs[0].arcs if certs else None) == kept
+
+
 @pytest.mark.parametrize("depth", [600, 3000])
 def test_deep_word_text_reaches_the_length_check(depth):
     # text nesting costs no recursion, so the outcome does not depend on sys.getrecursionlimit()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import expand, generator_words, word_trees
+from conftest import expand, generator_words, walk_reference, word_trees
 from torusham import (
     Concat,
     Cycle,
@@ -18,6 +18,7 @@ from torusham import (
     Power,
     Symbol,
     TorusSpec,
+    any_cycle_power,
     cycle_distance,
     flat_length,
     hamiltonian_path,
@@ -159,6 +160,16 @@ def test_verify_ham_path_takes_a_checked_flat_list():
     assert wide.failure.startswith("length 1") and wide.arcs == b""
     with pytest.raises(ValueError, match="arc 300 is not a generator"):
         verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 300, 0]))
+    assert isinstance(_checked_flat([0, 1, 0]), bytearray)
+    assert _checked_flat(iter([0, 300, 0])) == [0, 300, 0]
+
+
+def test_verify_ham_path_refuses_an_unchecked_negative_arc():
+    # a list the caller did not check: a negative entry is refused, not walked as empty
+    spec = TorusSpec((2, 2))
+    for arcs in ([0, -1, 0], [0, -1], [-1, 300, 0]):
+        with pytest.raises(ValueError):
+            verify_ham_path(spec, (0, 0), (0, 1), arcs)
 
 
 def _peak_bytes(f, *args):
@@ -256,6 +267,173 @@ def test_cycle_distance_is_bijection():
     for witness in (staircase_a(3, 6), staircase_b(5, 5)):
         positions = {cycle_distance(witness, v) for v in witness.spec.vertices()}
         assert positions == set(range(witness.spec.vertex_count))
+
+
+# --- the sliced walk ---------------------------------------------------------
+#
+# _walk marks a slice of arcs unchecked and confirms it by one count.  With
+# _SLICE set small, words of up to 16 * _SLICE arcs are cut into slices of
+# exactly _SLICE arcs, so these words cross many slice boundaries.
+
+SLICES = [1, 2, 3, 7]
+
+
+def _self_avoiding(spec, start, rng, length):
+    """Arcs of a random walk that avoids visited vertices while it can, so it repeats late."""
+    seen, v, arcs = {start}, start, []
+    for _ in range(length):
+        fresh = [g for g in range(spec.k) if spec.add_step(v, g) not in seen]
+        g = rng.choice(fresh or range(spec.k))
+        v = spec.add_step(v, g)
+        seen.add(v)
+        arcs.append(g)
+    return bytes(arcs)
+
+
+def _first_landing(spec, start, arcs, v):
+    """Index of the first vertex of the trace equal to v: 0 for the start."""
+    return next(i for i, w in enumerate(trace(spec, start, arcs)) if w == v)
+
+
+def _one_arc_edits(arcs, k):
+    """Every word one arc inserted into, or replaced in, arcs."""
+    for j in range(len(arcs) + 1):
+        for g in range(k):
+            yield arcs[:j] + bytes([g]) + arcs[j:]
+            if j < len(arcs):
+                yield arcs[:j] + bytes([g]) + arcs[j + 1 :]
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_walk_agrees_with_the_reference_on_random_words(monkeypatch, size):
+    monkeypatch.setattr(words, "_SLICE", size)
+    rng = random.Random(size)
+    for _ in range(400):
+        spec = TorusSpec(tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 4))))
+        start = tuple(rng.randrange(m) for m in spec.moduli)
+        marked = tuple(
+            tuple(rng.randrange(m) for m in spec.moduli) for _ in range(rng.choice((0, 0, 1, 3)))
+        )
+        length = rng.randint(0, spec.vertex_count + 2)
+        for arcs in (
+            bytes(rng.randrange(spec.k) for _ in range(length)),
+            _self_avoiding(spec, start, rng, length),
+        ):
+            got = words._walk(spec, start, arcs, marked)
+            assert got == walk_reference(spec, start, arcs, marked)
+            assert words._walk(spec, start, arcs) == walk_reference(spec, start, arcs)
+
+
+@pytest.mark.parametrize("size", [3, 7])
+def test_walk_finds_a_repeat_on_the_first_and_last_arc_of_a_slice(monkeypatch, size):
+    monkeypatch.setattr(words, "_SLICE", size)
+    u, v = (1, 0, 2), (0, 1, 1)
+    cert = hamiltonian_path(3, 3, u, v)
+    offsets = []  # where in its slice each repeat past the first slice falls
+    for arcs in _one_arc_edits(cert.arcs, 3):
+        hit = walk_reference(cert.spec, u, arcs)
+        assert words._walk(cert.spec, u, arcs) == hit
+        if hit[0] is not None and hit[0] > size:
+            offsets.append((hit[0] - 1) % size)
+    assert offsets.count(0) > 1 and offsets.count(size - 1) > 1
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_walk_finds_a_vertex_marked_in_an_earlier_slice(monkeypatch, size):
+    monkeypatch.setattr(words, "_SLICE", size)
+    u, v = (0, 0, 0), (2, 0, 0)
+    cert = hamiltonian_path(3, 3, u, v)
+    spec = cert.spec
+    earlier = 0
+    for j in range(len(cert.arcs) + 1):
+        for g in range(spec.k):
+            # the path so far, then one generator until it comes round
+            arcs = cert.arcs[:j] + bytes([g]) * 3
+            hit = walk_reference(spec, u, arcs)
+            assert words._walk(spec, u, arcs) == hit
+            landed = _first_landing(spec, u, arcs, hit[1])
+            earlier += 0 < landed and (landed - 1) // size < (hit[0] - 1) // size
+    assert earlier > 1
+    # and vertices marked before the walk, at every position along a cycle
+    cycle = any_cycle_power(3, 3)
+    for j, w in enumerate(trace(spec, u, cycle.arcs[:-1])):
+        if j:
+            assert words._walk(spec, u, cycle.arcs, (w,)) == (j, w)
+            assert cycle_distance(cycle, w) == j
+
+
+@pytest.mark.parametrize(
+    "cycle, size",
+    [
+        (staircase_a(2, 2), 1),
+        (staircase_a(2, 4), 2),
+        (staircase_a(3, 3), 3),
+        (any_cycle_power(3, 3), 3),
+        (staircase_b(7, 7), 7),
+    ],
+    ids=["2x2", "2x4", "3x3", "3x3x3", "7x7"],
+)
+def test_walk_of_a_cycle_that_closes_at_a_slice_end(monkeypatch, cycle, size):
+    monkeypatch.setattr(words, "_SLICE", size)
+    spec, arcs, zero = cycle.spec, cycle.arcs, cycle.spec.zero()
+    # at most 16 slices of exactly `size` arcs, the last of which closes the cycle
+    assert len(arcs) % size == 0 and len(arcs) <= 16 * size
+    assert words._walk(spec, zero, arcs) == (len(arcs), zero)
+    assert verify_ham_cycle(spec, arcs) == cycle
+    assert sorted(cycle_distance(cycle, v) for v in spec.vertices()) == list(range(len(arcs)))
+    # the last two unequal adjacent arcs swapped: it revisits a vertex early, or misses 0
+    j = max(j for j in range(len(arcs) - 1) if arcs[j] != arcs[j + 1])
+    bad = _swapped(arcs, j)
+    got = verify_ham_cycle(spec, bad)
+    assert isinstance(got, CycleRejection)
+    assert (got.position, got.vertex) == walk_reference(spec, zero, bad)
+
+
+def _swapped(arcs, j):
+    """arcs with the arcs at j and j + 1 swapped."""
+    return arcs[:j] + arcs[j + 1 : j + 2] + arcs[j : j + 1] + arcs[j + 2 :]
+
+
+def _located_as_the_reference_walk_does(cert, arcs):
+    got = verify_ham_path(cert.spec, cert.start, cert.target, arcs)
+    hit, stop = walk_reference(cert.spec, cert.start, arcs)
+    if hit is None:
+        assert got.verified == (stop == cert.target)
+    else:
+        assert (got.failure, got.failure_position, got.failure_vertex) == (
+            "repeated vertex", hit, stop,
+        )
+
+
+@pytest.mark.parametrize("size", SLICES)
+@pytest.mark.parametrize(
+    "m, k, u, v",
+    [
+        (3, 4, (0, 0, 0, 0), (2, 0, 0, 0)),
+        (4, 3, (1, 0, 0), (1, 2, 1)),
+        (5, 3, (0, 0, 0), (1, 2, 1)),
+        (2, 6, (0,) * 6, (1, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_verify_locates_every_adjacent_swap_as_the_reference_walk_does(
+    monkeypatch, size, m, k, u, v
+):
+    monkeypatch.setattr(words, "_SLICE", size)
+    cert = hamiltonian_path(m, k, u, v)
+    swaps = [j for j in range(len(cert.arcs) - 1) if cert.arcs[j] != cert.arcs[j + 1]]
+    assert swaps
+    for j in swaps:
+        _located_as_the_reference_walk_does(cert, _swapped(cert.arcs, j))
+
+
+def test_verify_locates_a_swap_in_a_later_slice_of_a_large_certificate():
+    # 177,146 arcs: three slices of _SLICE arcs, swapped at 60% as the benchmark's verify is
+    u, v = (0,) * 11, (2,) + (0,) * 10
+    cert = hamiltonian_path(3, 11, u, v)
+    arcs = cert.arcs
+    j = next(j for j in range(len(arcs) * 3 // 5, len(arcs)) if arcs[j] != arcs[j + 1])
+    assert len(arcs) > 2 * words._SLICE and j > words._SLICE
+    _located_as_the_reference_walk_does(cert, _swapped(arcs, j))
 
 
 # --- serialization ----------------------------------------------------------
