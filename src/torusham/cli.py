@@ -81,7 +81,7 @@ def endpoint_record(report: EndpointReport) -> dict:
     }
 
 
-def word_from_record(value) -> str | bytearray | list[int]:
+def word_from_record(value) -> str | bytes | list[int]:
     """The word of a record: its nested text as is, or a flat array checked by _checked_flat.
 
     verify_ham_path parses the text, once the spec gives it a length budget.

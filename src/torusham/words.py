@@ -11,9 +11,9 @@ the exact sequence its trace walked.  Constructions carry arcs as bytes
 (Cycle.arcs) and check them once; their nested text is rendered straight
 from the bytes (text_from_arcs), and their run-length tree only on demand.
 The verifiers take a tree, nested text or flat arcs (bytes, or a checked
-bytearray or list of ints).  arcs_from_text is the one expander of nested
-words: it parses text straight to bytes and checks each length against the
-budget before every repetition.  A tree's length is checked first by a fold, and
+list of ints).  arcs_from_text is the one expander of nested words: it
+parses text straight to bytes and checks each length against the budget
+before every repetition.  A tree's length is checked first by a fold, and
 a tree within budget is expanded through its text.  Tree walks (_fold) run
 C-level loops over each Concat's parts and one Python call per distinct
 part; the text parsers never recurse, and the bytes parser loops in Python
@@ -37,7 +37,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator
 
 from .torus import TorusSpec, Vertex
 
@@ -70,7 +70,9 @@ class Power:
             raise ValueError(f"exponent must be a non-negative int, got {self.exponent!r}")
 
 
-Word = Union[Symbol, Concat, Power]
+# a types.UnionType: typing.Union[...] would keep these classes, and with them
+# this module, alive in typing's cache after the module is dropped and imported again
+Word = Symbol | Concat | Power
 
 
 def _fold(w: Word, symbol: Callable, concat: Callable, power: Callable):
@@ -102,8 +104,8 @@ def _fold(w: Word, symbol: Callable, concat: Callable, power: Callable):
     return value(w)
 
 
-# flat arcs: bytes, or a list or bytearray of non-negative ints such as _checked_flat returns
-_FLAT = (bytes, bytearray, list)
+# flat arcs: bytes, or a list of non-negative ints such as _checked_flat returns
+_FLAT = (bytes, list)
 # every byte value, in order: its first k are the generator indices of k cycles
 _BYTE_VALUES = bytes(range(256))
 
@@ -275,14 +277,14 @@ class Cycle:
 @dataclass(frozen=True)
 class CycleRejection:
     spec: TorusSpec
-    word: Word | str | bytes | bytearray | list[int]
+    word: Word | str | bytes | list[int]
     reason: str
     position: int | None = None
     vertex: Vertex | None = None
 
 
 def _claim(
-    spec: TorusSpec, w: Word | str | bytes | bytearray | list[int], budget: int
+    spec: TorusSpec, w: Word | str | bytes | list[int], budget: int
 ) -> tuple[int, Word | str | None, bytes]:
     """(length, claim, arcs) of a word tree, nested text or flat arcs.
 
@@ -291,13 +293,12 @@ def _claim(
     A claim whose length is not budget keeps no arcs, except flat arcs
     that fit in bytes.  Otherwise every arc is checked to be a generator
     index of spec, and claim is the tree, the canonical text or None.
-    A list or bytearray is converted by one bytes() call and range-checked
-    by one translate; only a list with an entry past a byte takes its max.
+    Flat arcs are converted by one bytes() call, which returns bytes as
+    they are, and range-checked by one translate; only a list with an
+    entry past a byte takes its max.
     """
     if isinstance(w, str):
         n, claim, arcs, top = arcs_from_text(w, budget)
-    elif isinstance(w, bytes):
-        n, claim, arcs, top = len(w), None, w, max(w, default=-1)
     elif isinstance(w, _FLAT):
         n, claim = len(w), None
         try:
@@ -316,18 +317,18 @@ def _claim(
             arcs, top = arcs_from_text(word_to_text(w), budget)[2:]
     if n != budget:
         # refused flat arcs are kept when they fit in bytes; refused text or trees keep none
-        return n, claim, bytes(arcs) if isinstance(w, _FLAT) and top < 256 else b""
+        return n, claim, arcs if isinstance(w, _FLAT) else b""
     if top >= spec.k:
         raise ValueError(f"arc {top} is not a generator index in [0, {spec.k})")
-    return n, claim, bytes(arcs)
+    return n, claim, arcs
 
 
 def verify_ham_path(
-    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | str | bytes | bytearray | list[int]
+    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | str | bytes | list[int]
 ) -> PathCertificate:
     """Check that a word tree, nested text or flat arcs trace a hamiltonian path.
 
-    Flat arcs are bytes, or a list or bytearray of non-negative ints.
+    Flat arcs are bytes, or a list of non-negative ints.
     Accepts exactly the words whose trace has vertex_count distinct vertices
     (hence all of them) and ends at target.  Trees and text are expanded to
     bytes under the budget vertex_count - 1, a tree only once its length is
@@ -364,7 +365,7 @@ def verify_ham_path(
 
 
 def verify_ham_cycle(
-    spec: TorusSpec, w: Word | str | bytes | bytearray | list[int]
+    spec: TorusSpec, w: Word | str | bytes | list[int]
 ) -> Cycle | CycleRejection:
     """Check that a word tree, nested text or flat arcs trace a hamiltonian cycle based at 0.
 
@@ -379,12 +380,14 @@ def verify_ham_cycle(
     if n != count:
         return CycleRejection(spec, w, f"length {n} != vertex count {count}")
     zero = spec.zero()
-    # count arcs over count vertices must land on a marked vertex by step count
-    hit, stop = _walk(spec, zero, arcs)
-    if hit < count:
+    # all but the last arc must repeat no vertex, so the walk of a valid cycle
+    # confirms every slice by its count; the last arc must step back to 0
+    hit, stop = _walk(spec, zero, arcs[:-1])
+    if hit is not None:
         return CycleRejection(spec, w, "revisits a vertex early", hit, stop)
+    stop = spec.add_step(stop, arcs[-1])
     if stop != zero:
-        return CycleRejection(spec, w, "does not close at 0", hit, stop)
+        return CycleRejection(spec, w, "does not close at 0", count, stop)
     return Cycle(spec, arcs)
 
 
@@ -488,20 +491,19 @@ def word_from_text(text: str) -> Word:
     return Concat(tuple(items))
 
 
-def _checked_flat(arcs: Iterable[int]) -> bytearray | list[int]:
-    """The flat form as a bytearray, or as a list when an entry is past a byte.
+def _checked_flat(arcs: Iterable[int]) -> bytes | list[int]:
+    """The flat form as bytes, or as a list when an entry is past a byte.
 
     Every entry is checked to be a non-negative int, in C passes: one over
-    the types and one bytearray() conversion.  Only a conversion that fails
+    the types and one bytes() conversion.  Only a conversion that fails
     looks for a negative entry.  The verifiers take either result as flat
     arcs.
     """
-    if not isinstance(arcs, list):
-        arcs = list(arcs)
+    arcs = list(arcs)
     # set() would merge 1, 1.0 and True, so the check is on the types
     if set(map(type, arcs)) <= {int}:
         try:
-            return bytearray(arcs)
+            return bytes(arcs)
         except ValueError:
             # a negative entry, or one past a byte
             if min(arcs) >= 0:

@@ -1,3 +1,8 @@
+import gc
+import importlib
+import sys
+import weakref
+
 import torusham
 
 
@@ -50,3 +55,21 @@ def test_public_names_are_pinned():
         "word_from_text",
         "word_to_text",
     ]
+
+
+def test_a_library_imported_again_frees_the_old_one():
+    # nothing outside the package may keep its classes alive once its modules are dropped
+    ours = [n for n in sys.modules if n == "torusham" or n.startswith("torusham.")]
+    saved = {n: sys.modules.pop(n) for n in ours}
+    try:
+        fresh = importlib.import_module("torusham")
+        refs = [weakref.ref(cls) for cls in (fresh.Symbol, fresh.PathCertificate, fresh.TorusSpec)]
+        del fresh
+        for n in [n for n in sys.modules if n == "torusham" or n.startswith("torusham.")]:
+            del sys.modules[n]
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        for n in [n for n in sys.modules if n == "torusham" or n.startswith("torusham.")]:
+            del sys.modules[n]
+        sys.modules.update(saved)

@@ -160,7 +160,7 @@ def test_verify_ham_path_takes_a_checked_flat_list():
     assert wide.failure.startswith("length 1") and wide.arcs == b""
     with pytest.raises(ValueError, match="arc 300 is not a generator"):
         verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 300, 0]))
-    assert isinstance(_checked_flat([0, 1, 0]), bytearray)
+    assert _checked_flat([0, 1, 0]) == b"\0\1\0"
     assert _checked_flat(iter([0, 300, 0])) == [0, 300, 0]
 
 
@@ -253,6 +253,13 @@ def test_verify_ham_cycle_wrong_closure():
     spec = TorusSpec((2, 2))
     got = verify_ham_cycle(spec, word_from_flat([0, 1, 1, 0]))
     assert isinstance(got, CycleRejection)
+    assert (got.reason, got.position, got.vertex) == ("revisits a vertex early", 3, (1, 0))
+    # every vertex once, then a last arc to (1, 2) instead of back to 0
+    spec = TorusSpec((3, 3))
+    arcs = bytes([0, 0, 1] * 2 + [0, 0, 0])
+    got = verify_ham_cycle(spec, arcs)
+    assert (got.reason, got.position, got.vertex) == ("does not close at 0", 9, (1, 2))
+    assert walk_reference(spec, (0, 0), arcs) == (9, (1, 2))
 
 
 def test_cycle_distance_examples():
