@@ -8,7 +8,10 @@ independent of the constructive machinery: it imports only the torus
 definition, and witnesses are plain bytes of generator indices.
 
 Searches are capped: the default bound is 32 vertices and the hard bound is
-64, because exhaustive non-existence proofs get expensive quickly.
+64.  Under the search's matching prune most specs up to the hard bound are
+decided in a fraction of a second, but non-existence proofs on thin mixed
+products such as Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes seconds
+and (2,2,11) more than a minute, so the hard bound is nominal for them.
 """
 
 from __future__ import annotations
@@ -41,15 +44,28 @@ def _check_cap(spec: TorusSpec, cap: int | None) -> int:
 def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
     """Arcs of the lexicographically first hamiltonian start->target path, or None.
 
-    Generators are tried in index order.  Before each step, two sweeps must
-    each find every unvisited vertex: forward from the current vertex, never
-    expanding the target (the path enters it last, so a step into it before
-    then finds nothing), and backward from the target.  Neither prune cuts a
-    branch that has a completion, so the witness is the one an unpruned
-    search finds.  They imply the degree checks: each vertex the forward
-    sweep finds has the current vertex or an unvisited non-target one as a
-    predecessor, and each vertex the backward sweep finds has an unvisited
-    successor.
+    Generators are tried in index order, under three prunes.  Before each
+    step, two sweeps must each find every unvisited vertex: forward from the
+    current vertex, never expanding the target (the path enters it last, so
+    a step into it before then finds nothing), and backward from the target.
+    They imply the degree checks: each vertex the forward sweep finds has
+    the current vertex or an unvisited non-target one as a predecessor, and
+    each vertex the backward sweep finds has an unvisited successor.
+
+    The search also keeps a perfect matching that gives the current vertex
+    and every unvisited non-target vertex its own unvisited successor
+    (`mate[y]` is the vertex matched to y), and takes a step only if one
+    exists after it.  It is built once by augmenting paths; if it cannot
+    be, there is no path.  A step cur -> nxt drops cur from the vertices
+    that need a successor and nxt from those that may be one: if cur was
+    matched to nxt nothing else changes, otherwise one augmenting path from
+    nxt's old partner must reach cur's old successor, and backtracking
+    restores the matching.  A step into the target before the last one is
+    skipped outright, as the forward sweep would reject it.
+
+    No prune cuts a branch that has a completion: the rest of a hamiltonian
+    path visits every unvisited vertex, and its arcs form such a matching.
+    So the witness is the one an unpruned search finds.
     """
     verts = list(spec.vertices())
     index = {v: i for i, v in enumerate(verts)}
@@ -57,10 +73,22 @@ def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
     units = [spec.add_step(spec.zero(), g) for g in range(spec.k)]
     incoming = [tuple(index[spec.subtract(v, e)] for e in units) for v in verts]
     total = len(verts)
-    target_i = index[target]
+    start_i, target_i = index[start], index[target]
     visited = bytearray(total)
-    visited[index[start]] = 1
+    visited[start_i] = 1
     path = bytearray()
+    mate = [-1] * total  # successor -> the vertex it is matched to
+    succ = [-1] * total  # vertex -> its matched successor
+
+    def augment(x: int, seen: bytearray) -> bool:
+        """Match x by an augmenting path over the unseen successors."""
+        for y in out[x]:
+            if not seen[y]:
+                seen[y] = 1
+                if mate[y] < 0 or augment(mate[y], seen):
+                    mate[y], succ[x] = x, y
+                    return True
+        return False
 
     def reach(root: int, adjacent, stop: int) -> int:
         """Unvisited vertices reachable from root via unvisited ones; stop is not expanded."""
@@ -88,17 +116,27 @@ def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
         ):
             return False
         for g, nxt in enumerate(out[cur]):
-            if visited[nxt]:
+            if visited[nxt] or (nxt == target_i and remaining > 1):
                 continue
             visited[nxt] = 1
-            path.append(g)
-            if dfs(nxt, remaining - 1):
-                return True
+            saved = None
+            if succ[cur] != nxt:
+                saved = mate[:], succ[:]
+                mate[succ[cur]] = -1
+            if saved is None or augment(mate[nxt], bytearray(visited)):
+                path.append(g)
+                if dfs(nxt, remaining - 1):
+                    return True
+                path.pop()
+            if saved is not None:
+                mate[:], succ[:] = saved
             visited[nxt] = 0
-            path.pop()
         return False
 
-    return bytes(path) if dfs(index[start], total - 1) else None
+    for x in range(total):
+        if x != target_i and not augment(x, bytearray(visited)):
+            return None
+    return bytes(path) if dfs(start_i, total - 1) else None
 
 
 def ham_path_witness(

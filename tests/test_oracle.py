@@ -66,10 +66,12 @@ def test_endpoint_set_cube():
     assert report.reachable == odd and report.agreement
 
 
-def test_endpoint_set_five_squared():
-    report = endpoint_set(TorusSpec((5, 5)), (0, 0))
-    assert report.reachable == ((0, 4), (2, 2), (4, 0))
-    assert len(report.reachable) == 3
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_endpoint_set_odd_squared(m):
+    # the paper's k = 2, odd-m exception: only (m+1)/2 of the m admissible
+    # endpoints from 0 are reachable
+    report = endpoint_set(TorusSpec((m, m)), (0, 0), cap=m * m)
+    assert report.reachable == tuple((2 * n, m - 1 - 2 * n) for n in range((m + 1) // 2))
 
 
 def test_endpoint_set_reachable_subset_of_predicted():
@@ -96,11 +98,10 @@ def test_ham_cycle_exists_2d_examples():
 
 
 def test_ham_cycle_exists_2d_agrees_with_brute_force_small():
-    for m1 in range(2, 5):
-        for m2 in range(2, 5):
-            spec = TorusSpec((m1, m2))
-            brute = ham_cycle_witness(spec) is not None
-            assert ham_cycle_exists_2d(m1, m2) == brute, (m1, m2)
+    # the Trotter-Erdos criterion against exhaustive search up to the hard cap
+    for spec in enumerate_torus_specs(2, 64):
+        brute = ham_cycle_witness(spec, cap=64) is not None
+        assert ham_cycle_exists_2d(*spec.moduli) == brute, spec.moduli
 
 
 def test_size_cap_enforced():
@@ -112,7 +113,9 @@ def test_size_cap_enforced():
     spec = TorusSpec((3, 3, 4))
     assert spec.vertex_count > DEFAULT_CAP
     report = endpoint_set(spec, (0, 0, 0), cap=64)
-    assert report.predicted
+    assert report.predicted and report.agreement
+    report = endpoint_set(TorusSpec((3, 3, 5)), (0, 0, 0), cap=45)
+    assert len(report.reachable) == 44 and report.agreement
 
 
 def test_enumerate_torus_specs():
