@@ -53,15 +53,15 @@ def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
     each vertex the backward sweep finds has an unvisited successor.
 
     The search also keeps a perfect matching that gives the current vertex
-    and every unvisited non-target vertex its own unvisited successor
-    (`mate[y]` is the vertex matched to y), and takes a step only if one
-    exists after it.  It is built once by augmenting paths; if it cannot
-    be, there is no path.  A step cur -> nxt drops cur from the vertices
-    that need a successor and nxt from those that may be one: if cur was
-    matched to nxt nothing else changes, otherwise one augmenting path from
-    nxt's old partner must reach cur's old successor, and backtracking
-    restores the matching.  A step into the target before the last one is
-    skipped outright, as the forward sweep would reject it.
+    and every unvisited non-target vertex its own unvisited successor, and
+    takes a step only if one exists after it.  It is built once by
+    augmenting paths; if it cannot be, there is no path.  A step
+    cur -> nxt drops cur from the vertices that need a successor and nxt
+    from those that may be one: if cur was matched to nxt nothing else
+    changes, otherwise one augmenting path from nxt's old partner must
+    reach cur's old successor, and backtracking restores the matching.  A
+    step into the target before the last one is skipped outright, as the
+    forward sweep would reject it.
 
     No prune cuts a branch that has a completion: the rest of a hamiltonian
     path visits every unvisited vertex, and its arcs form such a matching.

@@ -98,10 +98,12 @@ def test_ham_cycle_exists_2d_examples():
 
 
 def test_ham_cycle_exists_2d_agrees_with_brute_force_small():
-    # the Trotter-Erdos criterion against exhaustive search up to the hard cap
+    # the Trotter-Erdos criterion against exhaustive search up to the hard
+    # cap, with the moduli in both orders
     for spec in enumerate_torus_specs(2, 64):
-        brute = ham_cycle_witness(spec, cap=64) is not None
-        assert ham_cycle_exists_2d(*spec.moduli) == brute, spec.moduli
+        for m1, m2 in (spec.moduli, spec.moduli[::-1]):
+            brute = ham_cycle_witness(TorusSpec((m1, m2)), cap=64) is not None
+            assert ham_cycle_exists_2d(m1, m2) == brute, (m1, m2)
 
 
 def test_size_cap_enforced():
