@@ -17,7 +17,6 @@ from .words import (
     Power,
     Symbol,
     Word,
-    cycle_distance,
     flat_length,
     trace,
     verify_ham_cycle,
@@ -67,7 +66,6 @@ __all__ = [
     "Vertex",
     "Word",
     "any_cycle_power",
-    "cycle_distance",
     "endpoint_set",
     "enumerate_torus_specs",
     "even_distance_cycle_power",

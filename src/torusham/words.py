@@ -127,7 +127,7 @@ def trace(spec: TorusSpec, start: Vertex, arcs: bytes | list[int]) -> Iterator[V
     k = spec.k
     yield start
     for g in arcs:
-        if g >= k:
+        if not 0 <= g < k:
             raise ValueError(f"symbol {g!r} is not a generator index in [0, {k})")
         coords[g] = (coords[g] + 1) % moduli[g]
         yield tuple(coords)
@@ -140,15 +140,13 @@ def _weights(moduli: tuple[int, ...]) -> list[int]:
     return w
 
 
-def _walk(
-    spec: TorusSpec, start: Vertex, arcs: bytes, marked: tuple[Vertex, ...] = ()
-) -> tuple[int | None, Vertex]:
+def _walk(spec: TorusSpec, start: Vertex, arcs: bytes) -> tuple[int | None, Vertex]:
     """The one exact trace: walk validated generator arcs, as bytes, from `start`.
 
-    Marks `start`, every vertex in `marked` and each vertex the walk lands
-    on, in a bytearray keyed by flat index.  Stops at the first arc that
-    lands on an already marked vertex and returns its 1-based position with
-    that vertex; otherwise returns None with the final vertex.
+    Marks `start` and each vertex the walk lands on, in a bytearray keyed
+    by flat index.  Stops at the first arc that lands on an already marked
+    vertex and returns its 1-based position with that vertex; otherwise
+    returns None with the final vertex.
 
     The arcs are walked in at most 16 slices of at least _SLICE arcs.  A
     slice is marked with no check per arc, then confirmed by one count: a
@@ -162,12 +160,10 @@ def _walk(
     last = [m - 1 for m in moduli]
     wrap = [(m - 1) * wt for m, wt in zip(moduli, weights)]
     seen = bytearray(spec.vertex_count)
-    for v in marked:
-        seen[sum(c * wt for c, wt in zip(v, weights))] = 1
     coords = list(start)
     idx = sum(c * wt for c, wt in zip(coords, weights))
     seen[idx] = 1
-    free = seen.count(0)
+    free = len(seen) - 1  # every vertex but start
     size = max(_SLICE, -(-len(arcs) // 16))
     snap = bytearray()
     for lo in range(0, len(arcs), size):
@@ -400,17 +396,6 @@ def expect_path(
             f"internal path construction failed on {spec.moduli}: {cert.failure}"
         )
     return cert
-
-
-def cycle_distance(c: Cycle, v: Vertex) -> int:
-    """Index of v along the trace of a hamiltonian cycle from the base vertex 0."""
-    spec = c.spec
-    spec.require_vertex(v)
-    if v == c.base:
-        return 0
-    # a hamiltonian cycle repeats no vertex before it closes, so the first hit is v
-    hit, _ = _walk(spec, c.base, c.arcs, (v,))
-    return hit
 
 
 # --- serialization ----------------------------------------------------------

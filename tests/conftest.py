@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for word trees, and the reference expansion and walk."""
+"""Shared hypothesis strategies, and the reference expansion, walk and cycle distance."""
 
 import hypothesis.strategies as st
 
@@ -45,6 +45,14 @@ def walk_reference(spec, start, arcs, marked=()):
             return pos, tuple(coords)
         seen[idx] = 1
     return None, tuple(coords)
+
+
+def cycle_distance(cycle, v) -> int:
+    """Index of v along the trace of a hamiltonian cycle from its base vertex 0."""
+    if v == cycle.base:
+        return 0
+    # a hamiltonian cycle repeats no vertex before it closes, so the first repeat is v
+    return walk_reference(cycle.spec, cycle.spec.zero(), cycle.arcs, (v,))[0]
 
 
 def word_trees(labels: st.SearchStrategy, max_exponent: int = 4) -> st.SearchStrategy:

@@ -11,7 +11,6 @@ import time
 from torusham import (
     PathCertificate,
     TorusSpec,
-    cycle_distance,
     endpoint_set,
     enumerate_torus_specs,
     even_distance_cycle_power,
@@ -28,7 +27,7 @@ from torusham import (
     Symbol,
 )
 
-from conftest import expand
+from conftest import cycle_distance, expand
 
 def _verdict(name, ok, detail=""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}" + (f" | {detail}" if detail else ""))

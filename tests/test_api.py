@@ -33,7 +33,6 @@ def test_public_names_are_pinned():
         "Vertex",
         "Word",
         "any_cycle_power",
-        "cycle_distance",
         "endpoint_set",
         "enumerate_torus_specs",
         "even_distance_cycle_power",

@@ -6,7 +6,6 @@ from torusham import (
     Cycle,
     TorusSpec,
     any_cycle_power,
-    cycle_distance,
     even_distance_cycle_power,
     identity_perm,
     staircase_a,
@@ -16,6 +15,8 @@ from torusham import (
     verify_ham_cycle,
 )
 from torusham.cycles import _any_cycle_distance, _arc_table, _lift
+
+from conftest import cycle_distance
 
 # arc relabelling that exchanges generators 0 and 1
 _SWAP = _arc_table((1, 0))
