@@ -8,10 +8,11 @@ independent of the constructive machinery: it imports only the torus
 definition, and witnesses are plain bytes of generator indices.
 
 Searches are capped: the default bound is 32 vertices and the hard bound is
-64.  Under the search's matching prune most specs up to the hard bound are
-decided in a fraction of a second, but non-existence proofs on thin mixed
-products such as Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes seconds
-and (2,2,11) more than a minute, so the hard bound is nominal for them.
+64.  Under the search's prunes most specs up to the hard bound are decided
+in a fraction of a second.  Existence checks also skip the symmetric copies
+of each path (see `_dfs_ham`), yet disproofs on thin mixed products such as
+Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes 2-3 s and (2,2,11) about
+half a minute, so the hard bound is nominal for them.
 """
 
 from __future__ import annotations
@@ -41,8 +42,26 @@ def _check_cap(spec: TorusSpec, cap: int | None) -> int:
     return cap
 
 
-def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
+def _graph(spec: TorusSpec) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Successors and predecessors by generator, over lexicographic vertex indices."""
+    total, moduli = spec.vertex_count, spec.moduli
+    # (e_g, the length of a g-cycle) in index units
+    steps = [(math.prod(moduli[g + 1 :]), math.prod(moduli[g:])) for g in range(spec.k)]
+    out = [tuple(x + e - c if x % c >= c - e else x + e for e, c in steps) for x in range(total)]
+    incoming = [tuple(x - e + c if x % c < e else x - e for e, c in steps) for x in range(total)]
+    return out, incoming
+
+
+def _index(spec: TorusSpec, v: Vertex) -> int:
+    return sum(c * math.prod(spec.moduli[g + 1 :]) for g, c in enumerate(v))
+
+
+def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()) -> bytes | None:
     """Arcs of the lexicographically first hamiltonian start->target path, or None.
+
+    The path's first arc is generator `first` (any, if None), and arcs into
+    the target by a generator in `banned` are ignored: both are replaced by
+    arcs to the start, which is always visited.
 
     Generators are tried in index order, under three prunes.  Before each
     step, two sweeps must each find every unvisited vertex: forward from the
@@ -66,16 +85,25 @@ def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
     No prune cuts a branch that has a completion: the rest of a hamiltonian
     path visits every unvisited vertex, and its arcs form such a matching.
     So the witness is the one an unpruned search finds.
+
+    Lemma (`ham_path_exists` searches only such paths).  Let d = t - s and S
+    the coordinate permutations p with m_p(i) = m_i and d_p(i) = d_i.  If an
+    s->t hamiltonian path exists, one has a first arc g least in its S-orbit
+    and a last arc whose S-orbit has no member below g.  Proof: x -> s +
+    p(x - s) fixes s and t and relabels arcs by p; x -> s + t - x reverses
+    them, so a path's word read backwards is one too; the least word w in
+    the orbit under both has p(w) >= w and p(w reversed) >= w for every p.
     """
-    verts = list(spec.vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    out = [tuple(index[spec.add_step(v, g)] for g in range(spec.k)) for v in verts]
-    units = [spec.add_step(spec.zero(), g) for g in range(spec.k)]
-    incoming = [tuple(index[spec.subtract(v, e)] for e in units) for v in verts]
-    total = len(verts)
-    start_i, target_i = index[start], index[target]
+    out, incoming = graph[0].copy(), graph[1].copy()
+    into = incoming[target]
+    for h in banned:
+        out[into[h]] = tuple(start if g == h else y for g, y in enumerate(out[into[h]]))
+    incoming[target] = tuple(start if h in banned else y for h, y in enumerate(into))
+    if first is not None:
+        out[start] = tuple(y if g == first else start for g, y in enumerate(out[start]))
+    total = len(out)
     visited = bytearray(total)
-    visited[start_i] = 1
+    visited[start] = 1
     path = bytearray()
     mate = [-1] * total  # successor -> the vertex it is matched to
     succ = [-1] * total  # vertex -> its matched successor
@@ -109,14 +137,14 @@ def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
 
     def dfs(cur: int, remaining: int) -> bool:
         if remaining == 0:
-            return cur == target_i
+            return cur == target
         if (
-            reach(cur, out, target_i) != remaining
-            or reach(target_i, incoming, -1) != remaining - 1
+            reach(cur, out, target) != remaining
+            or reach(target, incoming, -1) != remaining - 1
         ):
             return False
         for g, nxt in enumerate(out[cur]):
-            if visited[nxt] or (nxt == target_i and remaining > 1):
+            if visited[nxt] or (nxt == target and remaining > 1):
                 continue
             visited[nxt] = 1
             saved = None
@@ -134,9 +162,9 @@ def _dfs_ham(spec: TorusSpec, start: Vertex, target: Vertex) -> bytes | None:
         return False
 
     for x in range(total):
-        if x != target_i and not augment(x, bytearray(visited)):
+        if x != target and not augment(x, bytearray(visited)):
             return None
-    return bytes(path) if dfs(start_i, total - 1) else None
+    return bytes(path) if dfs(start, total - 1) else None
 
 
 def ham_path_witness(
@@ -146,13 +174,24 @@ def ham_path_witness(
     _check_cap(spec, cap)
     spec.require_vertex(start)
     spec.require_vertex(target)
-    return _dfs_ham(spec, start, target)
+    return _dfs_ham(_graph(spec), _index(spec, start), _index(spec, target))
 
 
 def ham_path_exists(
     spec: TorusSpec, start: Vertex, target: Vertex, *, cap: int | None = None
 ) -> bool:
-    return ham_path_witness(spec, start, target, cap=cap) is not None
+    """Whether a hamiltonian start->target path exists, by `_dfs_ham`'s lemma."""
+    _check_cap(spec, cap)
+    spec.require_vertex(start)
+    spec.require_vertex(target)
+    key = list(zip(spec.moduli, spec.subtract(target, start)))
+    least = [key.index(x) for x in key]  # least generator of each one's S-orbit
+    graph, s, t = _graph(spec), _index(spec, start), _index(spec, target)
+    return any(
+        _dfs_ham(graph, s, t, g, [h for h in range(spec.k) if least[h] < g]) is not None
+        for g in range(spec.k)
+        if least[g] == g
+    )
 
 
 def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> bytes | None:
@@ -162,9 +201,9 @@ def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> bytes | Non
     hamiltonian path back to 0, followed by the first such path.
     """
     _check_cap(spec, cap)
-    zero = spec.zero()
-    for g in range(spec.k):
-        arcs = _dfs_ham(spec, spec.add_step(zero, g), zero)
+    graph = _graph(spec)
+    for g, x in enumerate(graph[0][0]):
+        arcs = _dfs_ham(graph, x, 0)
         if arcs is not None:
             return bytes((g,)) + arcs
     return None

@@ -1,4 +1,6 @@
 import ast
+import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -170,7 +172,8 @@ def _small_specs():
 
 
 def test_path_witness_matches_the_unpruned_search():
-    # an unsound prune would drop witnesses and report false counterexamples
+    # an unsound prune would drop witnesses and report false counterexamples;
+    # ham_path_exists also drops symmetric copies, which must never drop all
     for spec in _small_specs():
         for start in spec.vertices():
             for target in spec.vertices():
@@ -178,6 +181,63 @@ def test_path_witness_matches_the_unpruned_search():
                 assert ham_path_witness(spec, start, target) == expected, (
                     spec.moduli, start, target,
                 )
+                assert ham_path_exists(spec, start, target) == (expected is not None), (
+                    spec.moduli, start, target,
+                )
+
+
+def _queries():
+    """Every spec with k = 1..4 and at most 24 vertices, from 0 and one seeded start."""
+    rng = random.Random(18)
+    for k in (1, 2, 3, 4):
+        for spec in enumerate_torus_specs(k, 24):
+            seeded = tuple(rng.randrange(m) for m in spec.moduli)
+            for start in (spec.zero(), seeded):
+                yield spec, start
+
+
+def _symmetries(spec, start, target):
+    """Generator relabellings p with m_p(i) = m_i and d_p(i) = d_i, d = target - start."""
+    key = list(zip(spec.moduli, spec.subtract(target, start)))
+    for p in itertools.permutations(range(spec.k)):
+        if all(key[p[i]] == key[i] for i in range(spec.k)):
+            yield p
+
+
+def test_witnesses_reversed_and_relabelled_stay_paths():
+    # the lemma behind ham_path_exists, checked by the trusted walk: reading a
+    # witness backwards, or relabelling it by a symmetry of (start, target),
+    # gives another hamiltonian path between the same endpoints
+    witnesses = relabelled_words = 0
+    for spec, start in _queries():
+        for target in spec.vertices():
+            w = ham_path_witness(spec, start, target)
+            if w is None:
+                continue
+            witnesses += 1
+            assert verify_ham_path(spec, start, target, w[::-1]).verified, (
+                spec.moduli, start, target,
+            )
+            for p in _symmetries(spec, start, target):
+                relabelled = bytes(p[g] for g in w)
+                assert verify_ham_path(spec, start, target, relabelled).verified, (
+                    spec.moduli, start, target, p,
+                )
+                relabelled_words += relabelled != w
+    assert (witnesses, relabelled_words) == (470, 224)
+
+
+def test_existence_agrees_with_the_witness_search():
+    queries = 0
+    for spec, start in _queries():
+        found = {t: ham_path_witness(spec, start, t) is not None for t in spec.vertices()}
+        for target, expected in found.items():
+            assert ham_path_exists(spec, start, target) == expected, (spec.moduli, start, target)
+        report = endpoint_set(spec, start)
+        assert report.reachable == tuple(t for t in report.predicted if found[t])
+        assert report.counterexamples == tuple(t for t in report.predicted if not found[t])
+        queries += len(found)
+    assert queries > 1500
 
 
 def test_cycle_witness_matches_the_unpruned_search():
