@@ -11,8 +11,8 @@ Searches are capped: the default bound is 32 vertices and the hard bound is
 64.  Under the search's prunes most specs up to the hard bound are decided
 in a fraction of a second.  Existence checks also skip the symmetric copies
 of each path (see `_dfs_ham`), yet disproofs on thin mixed products such as
-Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes 2-3 s and (2,2,11) about
-half a minute, so the hard bound is nominal for them.
+Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes about 1.5 s and (2,2,11)
+about 25 s, so the hard bound is nominal for them.
 """
 
 from __future__ import annotations
@@ -42,14 +42,31 @@ def _check_cap(spec: TorusSpec, cap: int | None) -> int:
     return cap
 
 
-def _graph(spec: TorusSpec) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Successors and predecessors by generator, over lexicographic vertex indices."""
+def _graph(spec: TorusSpec) -> tuple[list, list, list[int], list[int]]:
+    """Successors and predecessors by generator, then as bitmasks, by lexicographic index."""
     total, moduli = spec.vertex_count, spec.moduli
     # (e_g, the length of a g-cycle) in index units
     steps = [(math.prod(moduli[g + 1 :]), math.prod(moduli[g:])) for g in range(spec.k)]
     out = [tuple(x + e - c if x % c >= c - e else x + e for e, c in steps) for x in range(total)]
     incoming = [tuple(x - e + c if x % c < e else x - e for e, c in steps) for x in range(total)]
-    return out, incoming
+    outm = [sum(1 << y for y in ys) for ys in out]
+    inm = [sum(1 << y for y in ys) for ys in incoming]
+    return out, incoming, outm, inm
+
+
+def _covers(masks: list[int], bit: list[int], root: int, left: int) -> bool:
+    """Whether a sweep from root along masks, through left only, reaches all of left."""
+    frontier = masks[root] & left
+    left ^= frontier
+    while left:
+        if not frontier:
+            return False
+        x = frontier.bit_length() - 1
+        frontier ^= bit[x]
+        new = masks[x] & left
+        left ^= new
+        frontier |= new
+    return True
 
 
 def _index(spec: TorusSpec, v: Vertex) -> int:
@@ -69,7 +86,12 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
     a step into it before then finds nothing), and backward from the target.
     They imply the degree checks: each vertex the forward sweep finds has
     the current vertex or an unvisited non-target one as a predecessor, and
-    each vertex the backward sweep finds has an unvisited successor.
+    each vertex the backward sweep finds has an unvisited successor.  They
+    run on int bitsets: the search carries `free`, its unvisited vertices,
+    and sweeps along the masks that `_graph` builds once per spec, patched
+    here for `first` and `banned` and with the target's successors cleared.
+    A sweep pops the highest vertex of its frontier (`bit_length` reads the
+    int's top digit) and stops as soon as it has found every vertex.
 
     The search also keeps a perfect matching that gives the current vertex
     and every unvisited non-target vertex its own unvisited successor, and
@@ -94,14 +116,19 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
     them, so a path's word read backwards is one too; the least word w in
     the orbit under both has p(w) >= w and p(w reversed) >= w for every p.
     """
-    out, incoming = graph[0].copy(), graph[1].copy()
-    into = incoming[target]
+    out, outm, inm = graph[0].copy(), graph[2].copy(), graph[3].copy()
+    total = len(out)
+    bit = [1 << x for x in range(total)]
+    into = graph[1][target]
     for h in banned:
-        out[into[h]] = tuple(start if g == h else y for g, y in enumerate(out[into[h]]))
-    incoming[target] = tuple(start if h in banned else y for h, y in enumerate(into))
+        x = into[h]
+        out[x] = tuple(start if g == h else y for g, y in enumerate(out[x]))
+        outm[x] &= ~bit[target]
+        inm[target] &= ~bit[x]
     if first is not None:
         out[start] = tuple(y if g == first else start for g, y in enumerate(out[start]))
-    total = len(out)
+        outm[start] = bit[out[start][first]]
+    outm[target] = 0
     visited = bytearray(total)
     visited[start] = 1
     path = bytearray()
@@ -118,33 +145,13 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
                     return True
         return False
 
-    def reach(root: int, adjacent, stop: int) -> int:
-        """Unvisited vertices reachable from root via unvisited ones; stop is not expanded."""
-        seen = bytearray(visited)
-        seen[root] = 1
-        stack = [root]
-        found = 0
-        while stack:
-            x = stack.pop()
-            if x == stop:
-                continue
-            for y in adjacent[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    found += 1
-                    stack.append(y)
-        return found
-
-    def dfs(cur: int, remaining: int) -> bool:
-        if remaining == 0:
+    def dfs(cur: int, free: int) -> bool:
+        if not free:
             return cur == target
-        if (
-            reach(cur, out, target) != remaining
-            or reach(target, incoming, -1) != remaining - 1
-        ):
+        if not _covers(outm, bit, cur, free) or not _covers(inm, bit, target, free ^ bit[target]):
             return False
         for g, nxt in enumerate(out[cur]):
-            if visited[nxt] or (nxt == target and remaining > 1):
+            if visited[nxt] or (nxt == target and free != bit[target]):
                 continue
             visited[nxt] = 1
             saved = None
@@ -153,7 +160,7 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
                 mate[succ[cur]] = -1
             if saved is None or augment(mate[nxt], bytearray(visited)):
                 path.append(g)
-                if dfs(nxt, remaining - 1):
+                if dfs(nxt, free ^ bit[nxt]):
                     return True
                 path.pop()
             if saved is not None:
@@ -164,7 +171,7 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
     for x in range(total):
         if x != target and not augment(x, bytearray(visited)):
             return None
-    return bytes(path) if dfs(start, total - 1) else None
+    return bytes(path) if dfs(start, ((1 << total) - 1) ^ bit[start]) else None
 
 
 def ham_path_witness(
@@ -177,6 +184,18 @@ def ham_path_witness(
     return _dfs_ham(_graph(spec), _index(spec, start), _index(spec, target))
 
 
+def _exists(spec: TorusSpec, graph, start: Vertex, target: Vertex) -> bool:
+    """`ham_path_exists` on a graph built once per spec."""
+    key = list(zip(spec.moduli, spec.subtract(target, start)))
+    least = [key.index(x) for x in key]  # least generator of each one's S-orbit
+    s, t = _index(spec, start), _index(spec, target)
+    return any(
+        _dfs_ham(graph, s, t, g, [h for h in range(spec.k) if least[h] < g]) is not None
+        for g in range(spec.k)
+        if least[g] == g
+    )
+
+
 def ham_path_exists(
     spec: TorusSpec, start: Vertex, target: Vertex, *, cap: int | None = None
 ) -> bool:
@@ -184,14 +203,7 @@ def ham_path_exists(
     _check_cap(spec, cap)
     spec.require_vertex(start)
     spec.require_vertex(target)
-    key = list(zip(spec.moduli, spec.subtract(target, start)))
-    least = [key.index(x) for x in key]  # least generator of each one's S-orbit
-    graph, s, t = _graph(spec), _index(spec, start), _index(spec, target)
-    return any(
-        _dfs_ham(graph, s, t, g, [h for h in range(spec.k) if least[h] < g]) is not None
-        for g in range(spec.k)
-        if least[g] == g
-    )
+    return _exists(spec, _graph(spec), start, target)
 
 
 def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> bytes | None:
@@ -262,10 +274,11 @@ def endpoint_set(spec: TorusSpec, start: Vertex, *, cap: int | None = None) -> E
     predicted = tuple(
         v for v in spec.vertices() if v != start and spec.ham_path_congruence_ok(start, v)
     )
+    graph = _graph(spec)
     reachable: list[Vertex] = []
     missing: list[Vertex] = []
     for v in predicted:
-        (reachable if ham_path_exists(spec, start, v, cap=cap) else missing).append(v)
+        (reachable if _exists(spec, graph, start, v) else missing).append(v)
     return EndpointReport(
         spec=spec,
         start=start,

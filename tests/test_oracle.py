@@ -240,6 +240,33 @@ def test_existence_agrees_with_the_witness_search():
     assert queries > 1500
 
 
+@pytest.mark.parametrize("moduli", [(3, 3, 4), (2, 2, 2, 6)])
+def test_forced_first_and_banned_last_arcs_past_30_vertices(moduli):
+    # every first arc, with no banned last arcs and with those that
+    # ham_path_exists bans, to every admissible target of a seeded start: the
+    # search must return the least witness that keeps both constraints
+    spec = TorusSpec(moduli)
+    start = tuple(random.Random(19).randrange(m) for m in moduli)
+    graph, s = oracle._graph(spec), oracle._index(spec, start)
+    for target in spec.vertices():
+        if target == start or not spec.ham_path_congruence_ok(start, target):
+            continue
+        w = ham_path_witness(spec, start, target, cap=64)
+        assert w is not None
+        assert ham_path_exists(spec, start, target, cap=64)
+        t = oracle._index(spec, target)
+        key = list(zip(spec.moduli, spec.subtract(target, start)))
+        for first in range(spec.k):
+            lemma = tuple(h for h in range(spec.k) if key.index(key[h]) < first)
+            for banned in {(), lemma}:
+                got = oracle._dfs_ham(graph, s, t, first, banned)
+                if w[0] == first and w[-1] not in banned:
+                    assert got == w, (target, first, banned)
+                elif got is not None:
+                    assert got > w and got[0] == first and got[-1] not in banned
+                    assert verify_ham_path(spec, start, target, got).verified
+
+
 def test_cycle_witness_matches_the_unpruned_search():
     for spec in _small_specs():
         expected = _unpruned_witness(spec, spec.zero(), spec.zero(), cycle=True)

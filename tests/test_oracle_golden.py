@@ -11,9 +11,12 @@ generator order, whatever it prunes.
 import hashlib
 import random
 
+import pytest
+
 from torusham import (
     Cycle,
     TorusSpec,
+    endpoint_set,
     enumerate_torus_specs,
     ham_cycle_witness,
     ham_path_witness,
@@ -23,14 +26,22 @@ from torusham import (
 
 PATH_DIGEST = "71735738d54dad7e1f3c8227c457acd966cb0744b27999efba4812cf5315411f"
 CYCLE_DIGEST = "32a3c12035573cb0d75429c6b87900bfe244751a00efb430a615852d4a6f7e1d"
+# past 30 vertices a vertex bitmask spans two 30-bit int digits
+WIDE_DIGESTS = {
+    (2, 2, 2, 2, 2): "d9c34de63cd9f768c740ba1a9c4b49442aea879924dad8c71bfb80ac726aceb0",
+    (6, 6): "5514a8fb7963e63f7170a81c7a43dd16f92b4c684bed06e6981af6f9dbbc105c",
+    (3, 3, 4): "b690e872879108f933a6b009497e6e1c76a1ac50819e53727cece265b42c8a94",
+    (2, 2, 2, 6): "dbff7d6567afbfff69294124c2ad9e85918681f636c31db6d97603a1d4a5cc88",
+    (4, 4, 4): "f329f5dfc7498c8c0b41c09ec581568ba4991440dfffc6837ace3ec15e12ece5",
+}
 
 
 def _digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _path_line(spec: TorusSpec, start, target) -> str:
-    w = ham_path_witness(spec, start, target)
+def _path_line(spec: TorusSpec, start, target, cap=None) -> str:
+    w = ham_path_witness(spec, start, target, cap=cap)
     if w is None:
         return f"{spec.moduli} {start} {target} none"
     cert = verify_ham_path(spec, start, target, w)
@@ -65,3 +76,18 @@ def test_path_witnesses_match_the_golden_digest():
 def test_cycle_witnesses_match_the_golden_digest():
     specs = [*enumerate_torus_specs(2, 30), *enumerate_torus_specs(3, 24)]
     assert _digest([_cycle_line(spec) for spec in specs]) == CYCLE_DIGEST
+
+
+@pytest.mark.parametrize("moduli", list(WIDE_DIGESTS))
+def test_wide_path_witnesses_and_counterexamples_match_their_digests(moduli):
+    # from 0 to every target the distance congruence admits, then the
+    # targets that endpoint_set reports no path to
+    spec = TorusSpec(moduli)
+    start = spec.zero()
+    lines = [
+        _path_line(spec, start, target, cap=64)
+        for target in spec.vertices()
+        if target != start and spec.ham_path_congruence_ok(start, target)
+    ]
+    lines.append(f"counterexamples {endpoint_set(spec, start, cap=64).counterexamples}")
+    assert _digest(lines) == WIDE_DIGESTS[moduli]
