@@ -12,7 +12,7 @@ Searches are capped: the default bound is 32 vertices and the hard bound is
 in a fraction of a second.  Existence checks also skip the symmetric copies
 of each path (see `_dfs_ham`), yet disproofs on thin mixed products such as
 Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes about 1.5 s and (2,2,11)
-about 25 s, so the hard bound is nominal for them.
+25-31 s, so the hard bound is nominal for them.
 """
 
 from __future__ import annotations
