@@ -20,6 +20,7 @@ from .oracle import (
     DEFAULT_CAP,
     HARD_CAP,
     EndpointReport,
+    _check_hard_cap,
     endpoint_set,
     enumerate_torus_specs,
     ham_cycle_exists_2d,
@@ -232,7 +233,8 @@ def cmd_endpoints(args) -> int:
 
 def cmd_scan(args) -> int:
     try:
-        # the cap is checked on the first spec, before anything is printed
+        # before enumerating: when no spec fits, no endpoint_set call would check it
+        _check_hard_cap(args.max_vertices)
         for spec in enumerate_torus_specs(args.k, args.max_vertices):
             report = endpoint_set(spec, spec.zero(), cap=args.max_vertices)
             record = endpoint_record(report)

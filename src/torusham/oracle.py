@@ -9,8 +9,8 @@ definition, and witnesses are plain bytes of generator indices.
 
 Searches are capped: the default bound is 32 vertices and the hard bound is
 64.  Under the search's prunes most specs up to the hard bound are decided
-in a fraction of a second.  Existence checks also skip the symmetric copies
-of each path (see `_dfs_ham`), yet disproofs on thin mixed products such as
+in a fraction of a second.  Every query skips the symmetric copies of each
+path (see `_witness`), yet disproofs on thin mixed products such as
 Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes about 1.5 s and (2,2,11)
 25-31 s, so the hard bound is nominal for them.
 """
@@ -31,15 +31,16 @@ class SizeCapError(ValueError):
     """The instance exceeds the configured exhaustive-search bound."""
 
 
-def _check_cap(spec: TorusSpec, cap: int | None) -> int:
-    cap = DEFAULT_CAP if cap is None else cap
+def _check_hard_cap(cap: int) -> None:
     if cap > HARD_CAP:
         raise SizeCapError(f"cap {cap} exceeds the hard limit of {HARD_CAP} vertices")
+
+
+def _check_cap(spec: TorusSpec, cap: int | None) -> None:
+    cap = DEFAULT_CAP if cap is None else cap
+    _check_hard_cap(cap)
     if spec.vertex_count > cap:
-        raise SizeCapError(
-            f"{spec.moduli} has {spec.vertex_count} vertices, over the cap of {cap}"
-        )
-    return cap
+        raise SizeCapError(f"{spec.moduli} has {spec.vertex_count} vertices, over the cap of {cap}")
 
 
 def _graph(spec: TorusSpec) -> tuple[list, list, list[int], list[int]]:
@@ -73,12 +74,12 @@ def _index(spec: TorusSpec, v: Vertex) -> int:
     return sum(c * math.prod(spec.moduli[g + 1 :]) for g, c in enumerate(v))
 
 
-def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()) -> bytes | None:
+def _dfs_ham(graph, start: int, target: int, first: int, banned) -> bytes | None:
     """Arcs of the lexicographically first hamiltonian start->target path, or None.
 
-    The path's first arc is generator `first` (any, if None), and arcs into
-    the target by a generator in `banned` are ignored: both are replaced by
-    arcs to the start, which is always visited.
+    The path's first arc is generator `first`, and arcs into the target by a
+    generator in `banned` are ignored: both are replaced by arcs to the
+    start, which is always visited.
 
     Generators are tried in index order, under three prunes.  Before each
     step, two sweeps must each find every unvisited vertex: forward from the
@@ -86,12 +87,10 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
     a step into it before then finds nothing), and backward from the target.
     They imply the degree checks: each vertex the forward sweep finds has
     the current vertex or an unvisited non-target one as a predecessor, and
-    each vertex the backward sweep finds has an unvisited successor.  They
-    run on int bitsets: the search carries `free`, its unvisited vertices,
-    and sweeps along the masks that `_graph` builds once per spec, patched
-    here for `first` and `banned` and with the target's successors cleared.
-    A sweep pops the highest vertex of its frontier (`bit_length` reads the
-    int's top digit) and stops as soon as it has found every vertex.
+    each vertex the backward sweep finds has an unvisited successor.  Both
+    run on int bitsets (`free` holds the unvisited vertices) along the masks
+    of `_graph`, patched here for `first` and `banned` and with the target's
+    successors cleared, and stop once they have found every vertex.
 
     The search also keeps a perfect matching that gives the current vertex
     and every unvisited non-target vertex its own unvisited successor, and
@@ -107,14 +106,6 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
     No prune cuts a branch that has a completion: the rest of a hamiltonian
     path visits every unvisited vertex, and its arcs form such a matching.
     So the witness is the one an unpruned search finds.
-
-    Lemma (`ham_path_exists` searches only such paths).  Let d = t - s and S
-    the coordinate permutations p with m_p(i) = m_i and d_p(i) = d_i.  If an
-    s->t hamiltonian path exists, one has a first arc g least in its S-orbit
-    and a last arc whose S-orbit has no member below g.  Proof: x -> s +
-    p(x - s) fixes s and t and relabels arcs by p; x -> s + t - x reverses
-    them, so a path's word read backwards is one too; the least word w in
-    the orbit under both has p(w) >= w and p(w reversed) >= w for every p.
     """
     out, outm, inm = graph[0].copy(), graph[2].copy(), graph[3].copy()
     total = len(out)
@@ -125,9 +116,8 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
         out[x] = tuple(start if g == h else y for g, y in enumerate(out[x]))
         outm[x] &= ~bit[target]
         inm[target] &= ~bit[x]
-    if first is not None:
-        out[start] = tuple(y if g == first else start for g, y in enumerate(out[start]))
-        outm[start] = bit[out[start][first]]
+    out[start] = tuple(y if g == first else start for g, y in enumerate(out[start]))
+    outm[start] = bit[out[start][first]]
     outm[target] = 0
     visited = bytearray(total)
     visited[start] = 1
@@ -174,6 +164,28 @@ def _dfs_ham(graph, start: int, target: int, first: int | None = None, banned=()
     return bytes(path) if dfs(start, ((1 << total) - 1) ^ bit[start]) else None
 
 
+def _witness(spec: TorusSpec, graph, start: Vertex, target: Vertex) -> bytes | None:
+    """Arcs of the lexicographically first hamiltonian start->target path, or None.
+
+    Lemma.  Let S be the coordinate permutations p with m_p(i) = m_i and
+    d_p(i) = d_i, d = target - start.  x -> start + p(x - start) fixes both
+    endpoints and relabels arcs by p, and x -> start + target - x reverses
+    them, so for the first path w, p(w) and p(w reversed) are paths not
+    below w.  So w[0] is least in its S-orbit and no arc in w[-1]'s orbit is
+    below w[0]: the loop skips no first arc and bans no last arc of w, and
+    a search for a lesser first arc finds nothing, so it returns w.
+    """
+    key = list(zip(spec.moduli, spec.subtract(target, start)))
+    least = [key.index(x) for x in key]  # least generator of each one's S-orbit
+    s, t = _index(spec, start), _index(spec, target)
+    for g in range(spec.k):
+        if least[g] == g:
+            arcs = _dfs_ham(graph, s, t, g, [h for h in range(spec.k) if least[h] < g])
+            if arcs is not None:
+                return arcs
+    return None
+
+
 def ham_path_witness(
     spec: TorusSpec, start: Vertex, target: Vertex, *, cap: int | None = None
 ) -> bytes | None:
@@ -181,29 +193,14 @@ def ham_path_witness(
     _check_cap(spec, cap)
     spec.require_vertex(start)
     spec.require_vertex(target)
-    return _dfs_ham(_graph(spec), _index(spec, start), _index(spec, target))
-
-
-def _exists(spec: TorusSpec, graph, start: Vertex, target: Vertex) -> bool:
-    """`ham_path_exists` on a graph built once per spec."""
-    key = list(zip(spec.moduli, spec.subtract(target, start)))
-    least = [key.index(x) for x in key]  # least generator of each one's S-orbit
-    s, t = _index(spec, start), _index(spec, target)
-    return any(
-        _dfs_ham(graph, s, t, g, [h for h in range(spec.k) if least[h] < g]) is not None
-        for g in range(spec.k)
-        if least[g] == g
-    )
+    return _witness(spec, _graph(spec), start, target)
 
 
 def ham_path_exists(
     spec: TorusSpec, start: Vertex, target: Vertex, *, cap: int | None = None
 ) -> bool:
-    """Whether a hamiltonian start->target path exists, by `_dfs_ham`'s lemma."""
-    _check_cap(spec, cap)
-    spec.require_vertex(start)
-    spec.require_vertex(target)
-    return _exists(spec, _graph(spec), start, target)
+    """Whether a hamiltonian start->target path exists."""
+    return ham_path_witness(spec, start, target, cap=cap) is not None
 
 
 def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> bytes | None:
@@ -213,9 +210,9 @@ def ham_cycle_witness(spec: TorusSpec, *, cap: int | None = None) -> bytes | Non
     hamiltonian path back to 0, followed by the first such path.
     """
     _check_cap(spec, cap)
-    graph = _graph(spec)
-    for g, x in enumerate(graph[0][0]):
-        arcs = _dfs_ham(graph, x, 0)
+    graph, zero = _graph(spec), spec.zero()
+    for g in range(spec.k):
+        arcs = _witness(spec, graph, spec.add_step(zero, g), zero)
         if arcs is not None:
             return bytes((g,)) + arcs
     return None
@@ -278,7 +275,7 @@ def endpoint_set(spec: TorusSpec, start: Vertex, *, cap: int | None = None) -> E
     reachable: list[Vertex] = []
     missing: list[Vertex] = []
     for v in predicted:
-        (reachable if _exists(spec, graph, start, v) else missing).append(v)
+        (missing if _witness(spec, graph, start, v) is None else reachable).append(v)
     return EndpointReport(
         spec=spec,
         start=start,

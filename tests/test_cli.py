@@ -442,9 +442,11 @@ def test_endpoints_cap_flag():
     assert got.returncode == 1 and "hard limit" in got.stderr
     got = run("endpoints", "--moduli", "3,3", "--cap", "64")
     assert got.returncode == 0
-    got = run("scan", "--max-vertices", "100")
-    assert got.returncode == 1 and "hard limit" in got.stderr
-    assert got.stdout == ""
+    # with k = 10 no spec has at most 1000 vertices, and the cap is still refused
+    for argv in (["--max-vertices", "100"], ["--max-vertices", "1000", "--k", "10"]):
+        got = run("scan", *argv)
+        assert got.returncode == 1 and "hard limit" in got.stderr
+        assert got.stdout == ""
 
 
 def test_endpoints_env_cap():

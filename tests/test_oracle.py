@@ -173,7 +173,7 @@ def _small_specs():
 
 def test_path_witness_matches_the_unpruned_search():
     # an unsound prune would drop witnesses and report false counterexamples;
-    # ham_path_exists also drops symmetric copies, which must never drop all
+    # every query also drops symmetric copies, which must never drop the first
     for spec in _small_specs():
         for start in spec.vertices():
             for target in spec.vertices():
@@ -205,7 +205,7 @@ def _symmetries(spec, start, target):
 
 
 def test_witnesses_reversed_and_relabelled_stay_paths():
-    # the lemma behind ham_path_exists, checked by the trusted walk: reading a
+    # the lemma behind every oracle query, checked by the trusted walk: reading a
     # witness backwards, or relabelling it by a symmetry of (start, target),
     # gives another hamiltonian path between the same endpoints
     witnesses = relabelled_words = 0
@@ -227,10 +227,21 @@ def test_witnesses_reversed_and_relabelled_stay_paths():
     assert (witnesses, relabelled_words) == (470, 224)
 
 
+def _lexicographic_witness(spec, graph, s, t):
+    """The plain lexicographic search's path: each first arc in turn, no last arc banned."""
+    paths = (oracle._dfs_ham(graph, s, t, g, ()) for g in range(spec.k))
+    return next((w for w in paths if w is not None), None)
+
+
 def test_existence_agrees_with_the_witness_search():
     queries = 0
     for spec, start in _queries():
-        found = {t: ham_path_witness(spec, start, t) is not None for t in spec.vertices()}
+        graph, s = oracle._graph(spec), oracle._index(spec, start)
+        found = {}
+        for target in spec.vertices():
+            w = _lexicographic_witness(spec, graph, s, oracle._index(spec, target))
+            assert ham_path_witness(spec, start, target) == w, (spec.moduli, start, target)
+            found[target] = w is not None
         for target, expected in found.items():
             assert ham_path_exists(spec, start, target) == expected, (spec.moduli, start, target)
         report = endpoint_set(spec, start)
@@ -242,9 +253,9 @@ def test_existence_agrees_with_the_witness_search():
 
 @pytest.mark.parametrize("moduli", [(3, 3, 4), (2, 2, 2, 6)])
 def test_forced_first_and_banned_last_arcs_past_30_vertices(moduli):
-    # every first arc, with no banned last arcs and with those that
-    # ham_path_exists bans, to every admissible target of a seeded start: the
-    # search must return the least witness that keeps both constraints
+    # every first arc, with no banned last arcs and with those that the lemma
+    # bans, to every admissible target of a seeded start: the search must
+    # return the least witness that keeps both constraints
     spec = TorusSpec(moduli)
     start = tuple(random.Random(19).randrange(m) for m in moduli)
     graph, s = oracle._graph(spec), oracle._index(spec, start)
@@ -255,6 +266,7 @@ def test_forced_first_and_banned_last_arcs_past_30_vertices(moduli):
         assert w is not None
         assert ham_path_exists(spec, start, target, cap=64)
         t = oracle._index(spec, target)
+        assert w == _lexicographic_witness(spec, graph, s, t), target
         key = list(zip(spec.moduli, spec.subtract(target, start)))
         for first in range(spec.k):
             lemma = tuple(h for h in range(spec.k) if key.index(key[h]) < first)
