@@ -235,6 +235,8 @@ def cmd_scan(args) -> int:
     try:
         # before enumerating: when no spec fits, no endpoint_set call would check it
         _check_hard_cap(args.max_vertices)
+        if args.max_vertices < 2:
+            raise ValueError(f"cap {args.max_vertices} is below 2, the fewest vertices of a torus")
         for spec in enumerate_torus_specs(args.k, args.max_vertices):
             report = endpoint_set(spec, spec.zero(), cap=args.max_vertices)
             record = endpoint_record(report)

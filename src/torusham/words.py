@@ -25,9 +25,13 @@ probabilistic shortcuts.  The one walk (_walk) marks arcs slice by slice
 with no check per arc and confirms each slice by one count of the unmarked
 vertices, which falls short exactly when the slice repeats a vertex; only
 such a slice is walked again, from a snapshot, checking every arc to locate
-the first repeat.  The construction does not trace its intermediate cycles;
-expect_path traces each certificate once before it leaves the library, so
-the verifiers are the one place allowed to be boring and thorough.
+the first repeat.  Its flat index gives stride 1 to g0, the generator most
+frequent in the first arcs, and a slice made mostly of long runs of g0 (a
+certificate's a^(m-2) blocks) is marked run by run, one slice assignment
+per run, instead of arc by arc.  The construction does not trace its
+intermediate cycles; expect_path traces each certificate once before it
+leaves the library, so the verifiers are the one place allowed to be
+boring and thorough.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Iterator
 
 from .torus import TorusSpec, Vertex
@@ -133,11 +137,14 @@ def trace(spec: TorusSpec, start: Vertex, arcs: bytes | list[int]) -> Iterator[V
         yield tuple(coords)
 
 
-def _weights(moduli: tuple[int, ...]) -> list[int]:
-    w = [1] * len(moduli)
-    for i in range(len(moduli) - 2, -1, -1):
-        w[i] = w[i + 1] * moduli[i + 1]
-    return w
+@lru_cache(maxsize=64)
+def _rule(moduli: tuple[int, ...], order: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(weights, last, wrap) per generator: strides in the given order, from 1, and the wrap steps."""
+    weights = [0] * len(moduli)
+    stride = 1
+    for g in order:
+        weights[g], stride = stride, stride * moduli[g]
+    return tuple(weights), tuple(m - 1 for m in moduli), tuple((m - 1) * wt for m, wt in zip(moduli, weights))
 
 
 def _walk(spec: TorusSpec, start: Vertex, arcs: bytes) -> tuple[int | None, Vertex]:
@@ -148,17 +155,28 @@ def _walk(spec: TorusSpec, start: Vertex, arcs: bytes) -> tuple[int | None, Vert
     vertex and returns its 1-based position with that vertex; otherwise
     returns None with the final vertex.
 
+    The flat index may be any bijection, since positions and vertices come
+    from the coordinates.  The generators take strides in order of their
+    counts in the first _HEAD arcs, so g0, the most frequent, has stride
+    1: each line of g0 (the m0 vertices that differ only in coordinate g0)
+    is a contiguous range of the bytearray.
+
     The arcs are walked in at most 16 slices of at least _SLICE arcs.  A
     slice is marked with no check per arc, then confirmed by one count: a
     slice that lands only on unmarked vertices turns exactly one zero into
     a one per arc, and any landing on a marked vertex leaves fewer zeros.
-    Only a slice whose count falls short is walked again, from a snapshot
-    of its start state and checking every arc, to find the first repeat.
+    A slice is marked arc by arc, unless m0 > _RUNS and its g0 arcs
+    outnumber its other arcs _RUNS times over: then it is marked run by
+    run, each maximal run of g0 by one slice assignment (two where it wraps
+    its line) and each other arc on its own.  A run of m0 or more marks its
+    whole line, its start included, so the count falls short.  Only a slice
+    whose count falls short is walked again, by _first_repeat.
     """
     moduli = spec.moduli
-    weights = _weights(moduli)
-    last = [m - 1 for m in moduli]
-    wrap = [(m - 1) * wt for m, wt in zip(moduli, weights)]
+    order = tuple(sorted(range(spec.k), key=arcs[:_HEAD].count, reverse=True))
+    rule = weights, last, wrap = _rule(moduli, order)
+    g0 = order[0]
+    m0 = moduli[g0]
     seen = bytearray(spec.vertex_count)
     coords = list(start)
     idx = sum(c * wt for c, wt in zip(coords, weights))
@@ -170,32 +188,83 @@ def _walk(spec: TorusSpec, start: Vertex, arcs: bytes) -> tuple[int | None, Vert
         part = arcs[lo : lo + size]
         snap[:] = seen
         at, at_coords = idx, coords[:]
-        for g in part:
-            c = coords[g]
-            if c == last[g]:
-                coords[g] = 0
-                idx -= wrap[g]
-            else:
-                coords[g] = c + 1
-                idx += weights[g]
-            seen[idx] = 1
+        # runs of a path are shorter than m0, so with m0 <= _RUNS they are too short to pay
+        others = part.translate(None, _BYTE_VALUES[g0 : g0 + 1]) if m0 > _RUNS else part
+        if len(part) - len(others) <= _RUNS * len(others):
+            for g in part:
+                c = coords[g]
+                if c == last[g]:
+                    coords[g] = 0
+                    idx -= wrap[g]
+                else:
+                    coords[g] = c + 1
+                    idx += weights[g]
+                seen[idx] = 1
+        else:
+            # a bytearray: a slice of bytes would be copied into one per assignment
+            ones = bytearray(b"\1" * m0)
+            # the g0 run before each other arc, by a table that maps g0 to 0 and any other arc to 1
+            runs = list(map(len, part.translate(b"\1" * g0 + b"\0" + b"\1" * (255 - g0)).split(b"\1")))
+            if runs[-1]:
+                # a last run of r: one of r - 1, then a g0 arc
+                runs[-1] -= 1
+                others += _BYTE_VALUES[g0 : g0 + 1]
+            for r, g in zip(runs, others):
+                if r:
+                    c = coords[g0]
+                    if c + r < m0:
+                        seen[idx + 1 : idx + r + 1] = ones[:r]
+                        idx += r
+                        coords[g0] = c + r
+                    else:
+                        line = idx - c
+                        if r < m0:
+                            seen[idx + 1 : line + m0] = ones[c + 1 :]
+                            c += r - m0
+                            seen[line : line + c + 1] = ones[: c + 1]
+                        else:
+                            seen[line : line + m0] = ones
+                            c = (c + r) % m0
+                        idx = line + c
+                        coords[g0] = c
+                c = coords[g]
+                if c == last[g]:
+                    coords[g] = 0
+                    idx -= wrap[g]
+                else:
+                    coords[g] = c + 1
+                    idx += weights[g]
+                seen[idx] = 1
         free -= len(part)
-        if seen.count(0) == free:
-            continue
-        # a repeat in this slice: walk it again from its start, checking each landing
-        seen, idx, coords = snap, at, at_coords
-        for pos, g in enumerate(part, lo + 1):
-            c = coords[g]
-            if c == last[g]:
-                coords[g] = 0
-                idx -= wrap[g]
-            else:
-                coords[g] = c + 1
-                idx += weights[g]
-            if seen[idx]:
-                return pos, tuple(coords)
-            seen[idx] = 1
+        if seen.count(0) != free:
+            return _first_repeat(part, lo, snap, at, at_coords, rule)
     return None, tuple(coords)
+
+
+def _first_repeat(
+    part: bytes, lo: int, seen: bytearray, idx: int, coords: list[int], rule: tuple
+) -> tuple[int, Vertex]:
+    """(position, vertex) of the first repeat in a slice of _walk whose count fell short.
+
+    Walks the slice at arc offset lo again from its start state (the
+    snapshot `seen`, the flat index and the coordinates), with _walk's
+    (weights, last, wrap) rule, checking each landing.  A slice whose
+    count falls short repeats a vertex unless its marks were wrong, and
+    then this raises rather than let the walk pass.
+    """
+    weights, last, wrap = rule
+    for pos, g in enumerate(part, lo + 1):
+        c = coords[g]
+        if c == last[g]:
+            coords[g] = 0
+            idx -= wrap[g]
+        else:
+            coords[g] = c + 1
+            idx += weights[g]
+        if seen[idx]:
+            return pos, tuple(coords)
+        seen[idx] = 1
+    raise AssertionError("a slice fell short of its count but repeats no vertex")
 
 
 @dataclass(frozen=True)
@@ -421,6 +490,10 @@ _GROUP_RE = re.compile(r"(\(|\)(?:\s*\^\s*\d+)*)")
 _CUT_RE = re.compile(r"(?<=[^\s^])\s+(?=[^\s^])")
 # characters of text, or arcs, per slice of the bytes codec: it bounds the per-token lists
 _SLICE = 1 << 16
+# the first arcs, whose counts order _walk's strides
+_HEAD = 256
+# the ratio of g0 arcs to other arcs, and the least m0, above which _walk marks a slice run by run
+_RUNS = 6
 # the text of each byte as a lone symbol
 _NAMES = tuple(f"x{g + 1}" for g in range(256))
 

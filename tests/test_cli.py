@@ -447,6 +447,11 @@ def test_endpoints_cap_flag():
         got = run("scan", *argv)
         assert got.returncode == 1 and "hard limit" in got.stderr
         assert got.stdout == ""
+    # no torus has fewer than 2 vertices, so a cap below 2 is refused, not scanned to nothing
+    for cap, k in (("-5", "3"), ("0", "1"), ("1", "1")):
+        got = run("scan", "--max-vertices", cap, "--k", k)
+        assert got.returncode == 1 and got.stdout == ""
+        assert got.stderr == f"error: cap {cap} is below 2, the fewest vertices of a torus\n"
 
 
 def test_endpoints_env_cap():

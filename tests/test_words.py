@@ -434,6 +434,156 @@ def test_verify_locates_a_swap_in_a_later_slice_of_a_large_certificate():
     _located_as_the_reference_walk_does(cert, _swapped(arcs, j))
 
 
+# --- the run loop -------------------------------------------------------------
+#
+# _walk gives g0, the generator most frequent in the first _HEAD arcs, stride 1,
+# and marks a slice run by run when m0 > _RUNS and its g0 arcs outnumber its
+# other arcs _RUNS times over.  The random words above use moduli 2..5, so they
+# never reach it; these use moduli 7..40 (7..16 when k = 3), or set _RUNS to 0,
+# which sends every slice holding a g0 arc through it.  Its marks are exact, so a slice is walked
+# again (by _first_repeat) exactly when it repeats a vertex: `rewalks` records
+# each such slice, and a valid claim must have none.
+
+
+@pytest.fixture
+def rewalks(monkeypatch):
+    """Arc offsets of the slices _walk walks again, recorded through _first_repeat."""
+    offsets = []
+    first_repeat = words._first_repeat
+
+    def recording(part, lo, *state):
+        offsets.append(lo)
+        return first_repeat(part, lo, *state)
+
+    monkeypatch.setattr(words, "_first_repeat", recording)
+    return offsets
+
+
+def _walks_as_the_reference(rewalks, spec, start, arcs):
+    """_walk's answer, asserted equal to walk_reference's, with one slice walked again iff it repeats."""
+    rewalks.clear()
+    hit = walk_reference(spec, start, arcs)
+    assert words._walk(spec, start, arcs) == hit
+    assert len(rewalks) == (hit[0] is not None)
+    return hit
+
+
+def _run_word(spec, start, g0, rng, length):
+    """Arcs of runs of g0 between single other arcs, avoiding visited vertices while it can.
+
+    Runs are aimed at m0 - 1, m0 - 2 or a random length and stop short of a
+    visited vertex; one in twenty is forced to m0 - 1, m0, m0 + 1 or 2 m0 + 1
+    arcs, which repeats a vertex unless it is shorter than m0.
+    """
+    m0 = spec.moduli[g0]
+    seen, v, arcs = {start}, start, bytearray()
+    while len(arcs) < length:
+        if rng.random() < 0.05:
+            run = rng.choice((m0 - 1, m0, m0 + 1, 2 * m0 + 1))
+        else:
+            run = rng.choice((m0 - 1, m0 - 2, rng.randrange(1, m0)))
+        for _ in range(run):
+            w = spec.add_step(v, g0)
+            if w in seen and run < m0:
+                break
+            v = w
+            seen.add(v)
+            arcs.append(g0)
+        fresh = [g for g in range(spec.k) if g != g0 and spec.add_step(v, g) not in seen]
+        g = rng.choice(fresh or range(spec.k))
+        v = spec.add_step(v, g)
+        seen.add(v)
+        arcs.append(g)
+    return bytes(arcs[:length])
+
+
+@pytest.mark.parametrize("size, runs", [(5, 6), (16, 6), (64, 6), (16, 0)])
+def test_run_loop_agrees_with_the_reference_on_random_words(monkeypatch, rewalks, size, runs):
+    monkeypatch.setattr(words, "_SLICE", size)
+    monkeypatch.setattr(words, "_RUNS", runs)
+    rng = random.Random(size + runs)
+    low = 2 if runs == 0 else 7
+    passed = set()
+    for _ in range(120):
+        k = rng.randint(1, 3)
+        spec = TorusSpec(tuple(rng.randint(low, (40, 40, 16)[k - 1]) for _ in range(k)))
+        start = tuple(rng.randrange(m) for m in spec.moduli)
+        g0 = rng.randrange(k)
+        length = rng.randint(spec.vertex_count // 2, spec.vertex_count + 2)
+        hit = _walks_as_the_reference(rewalks, spec, start, _run_word(spec, start, g0, rng, length))
+        passed.add(hit[0] is None)
+    assert passed == {True, False}
+
+
+@pytest.mark.parametrize("runs", [0, 6])
+def test_run_loop_on_runs_about_the_length_of_a_line(monkeypatch, rewalks, runs):
+    # runs of m0 - 1, m0 and more, from every coordinate, so they end short of,
+    # at and past the end of their line, and wrap it
+    monkeypatch.setattr(words, "_SLICE", 8)
+    monkeypatch.setattr(words, "_RUNS", runs)
+    spec = TorusSpec((9, 11))
+    for c in range(11):
+        start = (4, c)
+        for r in (1, 9, 10, 11, 12, 21, 22, 23, 40):
+            for tail in (b"", b"\0", b"\0" + b"\1" * 10, b"\0" + b"\1" * 11):
+                arcs = (b"\1" * 10 + b"\0") * 6 + b"\1" * r + tail
+                _walks_as_the_reference(rewalks, spec, start, arcs)
+                _walks_as_the_reference(rewalks, spec, start, b"\0" + b"\1" * r + tail)
+
+
+@pytest.mark.parametrize("size", [8, 1 << 16])
+@pytest.mark.parametrize("moduli", [(7,), (40,), (7, 7), (9, 12, 8), (2, 3, 13), (2,) * 8 + (7,)])
+def test_walk_of_a_claim_all_of_one_generator(monkeypatch, rewalks, size, moduli):
+    # a hostile claim picks its own frequencies: every arc one generator
+    monkeypatch.setattr(words, "_SLICE", size)
+    spec = TorusSpec(moduli)
+    start = tuple(m - 1 for m in moduli)
+    for g in range(spec.k):
+        arcs = bytes([g]) * (spec.vertex_count - 1)
+        hit, stop = _walks_as_the_reference(rewalks, spec, start, arcs)
+        # it comes round after m_g arcs, unless one cycle is the whole torus
+        assert hit == (None if spec.k == 1 else spec.moduli[g])
+        assert verify_ham_path(spec, start, stop, arcs).verified == (spec.k == 1)
+        cycle = bytes([g]) * spec.vertex_count
+        assert (verify_ham_cycle(spec, cycle) == Cycle(spec, cycle)) == (spec.k == 1)
+
+
+def test_run_loop_when_the_head_favours_another_generator(rewalks):
+    # g0 comes from the first _HEAD arcs: here generator 1 there, generator 0
+    # after, so later slices are walked arc by arc; and the reverse
+    spec = TorusSpec((41, 37))
+    head = (b"\1" * 36 + b"\0") * (words._HEAD // 37 + 2)
+    body = (b"\0" * 40 + b"\1") * 30
+    for arcs in (head + body, body + head, body[:-5] + head, body + body):
+        for start in ((0, 0), (40, 36), (17, 5)):
+            _walks_as_the_reference(rewalks, spec, start, arcs)
+
+
+@pytest.mark.parametrize("m", range(17, 42, 3))
+def test_verify_locates_adjacent_swaps_of_long_run_certificates(monkeypatch, rewalks, m):
+    # certificates of mean run m - 2 or so: every slice is marked run by run
+    monkeypatch.setattr(words, "_SLICE", 500)
+    u, v = (0, 0, 0), (m - 1, 0, 0)
+    cert = hamiltonian_path(m, 3, u, v)
+    spec = cert.spec
+    assert _walks_as_the_reference(rewalks, spec, u, cert.arcs) == (None, v)
+    cycle = cert.arcs + b"\0"  # v steps back to u along generator 0
+    assert verify_ham_cycle(spec, cycle) == Cycle(spec, cycle) and not rewalks
+    rng = random.Random(m)
+    swaps = [j for j in range(len(cert.arcs) - 1) if cert.arcs[j] != cert.arcs[j + 1]]
+    for j in sorted(rng.sample(swaps, 6)) + swaps[:1] + swaps[-1:]:
+        rewalks.clear()
+        _located_as_the_reference_walk_does(cert, _swapped(cert.arcs, j))
+        bad = _swapped(cycle, j)
+        got = verify_ham_cycle(spec, bad)
+        assert isinstance(got, CycleRejection)
+        hit, stop = walk_reference(spec, u, bad[:-1])
+        if hit is None:
+            hit, stop = len(bad), spec.add_step(stop, bad[-1])
+        assert (got.position, got.vertex) == (hit, stop)
+        assert len(rewalks) == 2 * (hit < len(bad))
+
+
 # --- serialization ----------------------------------------------------------
 
 
