@@ -7,7 +7,7 @@ obstruction otherwise.  The `oracle` module provides independent brute-force
 ground truth on small (possibly mixed-moduli) tori.
 """
 
-from .torus import TorusSpec, Vertex, identity_perm, transposition
+from .torus import TorusSpec, Vertex, transposition
 from .words import (
     Concat,
     ConstructionError,
@@ -25,17 +25,7 @@ from .words import (
     word_from_text,
     word_to_text,
 )
-from .cycles import (
-    any_cycle_power,
-    even_distance_cycle_power,
-    staircase_a,
-    staircase_b,
-)
-from .paths import (
-    Refusal,
-    hamiltonian_path,
-    prism_path_arcs,
-)
+from .paths import Refusal, hamiltonian_path
 from .oracle import (
     DEFAULT_CAP,
     HARD_CAP,
@@ -65,20 +55,14 @@ __all__ = [
     "TorusSpec",
     "Vertex",
     "Word",
-    "any_cycle_power",
     "endpoint_set",
     "enumerate_torus_specs",
-    "even_distance_cycle_power",
     "flat_length",
     "ham_cycle_exists_2d",
     "ham_cycle_witness",
     "ham_path_exists",
     "ham_path_witness",
     "hamiltonian_path",
-    "identity_perm",
-    "prism_path_arcs",
-    "staircase_a",
-    "staircase_b",
     "trace",
     "transposition",
     "verify_ham_cycle",

@@ -52,33 +52,14 @@ from .cycles import (
 )
 
 
-def prism_path_arcs(m: int, N: int, n: int) -> bytes:
-    """The rolling path on Z_m x Z_N as arcs 0 = a and 1 = b, for 0 <= n < N/2.
-
-    As a path in the digraph with arc steps a = (1, 0) and b = (1, 1) it has
-    length m*N - 1 and runs from 0 to (-1, 2n), visiting every vertex once.
-    """
-    if m < 2 or N < 2:
-        raise ValueError(f"need m >= 2 and N >= 2, got m={m}, N={N}")
-    if not 0 <= n < N / 2:
-        raise ValueError(f"n must satisfy 0 <= n < N/2 = {N / 2}, got {n}")
-    turnback = bytes(m - 2) + b"\1\1"
-    return (
-        turnback * n
-        + (bytes(m - 2) + b"\1\0") * (N - 2 * n - 1)
-        + turnback * n
-        + bytes(m - 2)
-        + b"\1"
-    )
-
-
 def _roll(m: int, inner: bytes, n: int) -> bytes:
     """Flat arcs of the rolled path, without verification.
 
-    Substitutes the inner arcs into prism_path_arcs: each a becomes
-    generator 0, and the i-th b becomes inner arc i mod N, plus 1.  The b
-    arcs sit at offsets m-2 and m-1 of the n turnback blocks at either end,
-    at offset m-2 of the blocks between them, and last.
+    Substitutes the inner arcs into the prism path of the module docstring:
+    each a becomes generator 0, and the i-th b becomes inner arc i mod N,
+    plus 1.  The b arcs sit at offsets m-2 and m-1 of the n turnback blocks
+    at either end, at offset m-2 of the blocks between them, and last.  The
+    tests hold this to the prism path spelled out block by block.
     """
     N = len(inner)
     if not 0 <= n < N / 2:

@@ -121,10 +121,6 @@ class TorusSpec:
         return self.directed_distance(u, v) % g == (g - 1) % g
 
 
-def identity_perm(k: int) -> Perm:
-    return tuple(range(k))
-
-
 def transposition(k: int, a: int, b: int) -> Perm:
     out = list(range(k))
     out[a], out[b] = out[b], out[a]

@@ -323,8 +323,8 @@ class PathCertificate:
 class Cycle:
     """A cycle claim based at 0, flat: one generator index per byte of `arcs`.
 
-    The builders in the cycles module return these unchecked; only
-    `verify_ham_cycle` certifies that one is hamiltonian.
+    Making one checks nothing; `verify_ham_cycle` returns one only for arcs
+    it certifies hamiltonian.
     """
 
     spec: TorusSpec

@@ -13,21 +13,17 @@ from torusham import (
     TorusSpec,
     endpoint_set,
     enumerate_torus_specs,
-    even_distance_cycle_power,
     flat_length,
     ham_cycle_exists_2d,
     ham_cycle_witness,
     hamiltonian_path,
-    prism_path_arcs,
-    staircase_a,
-    staircase_b,
     trace,
     Concat,
     Power,
     Symbol,
 )
 
-from conftest import cycle_distance, expand
+from conftest import cycle_distance, even_distance_cycle, expand, prism_path_arcs, staircase
 
 def _verdict(name, ok, detail=""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}" + (f" | {detail}" if detail else ""))
@@ -136,12 +132,12 @@ def test_criterion_5_staircase_closed_forms():
                 continue
             for i in range(m):
                 for j in range(n):
-                    # class (1) takes staircase_a, class (2) staircase_b; others are skipped
+                    # class (1) takes S_a, class (2) S_b; others are skipped
                     r = (i + j) % m
                     if (j + r) % 2 == 0:
-                        witness, expected = staircase_a(m, n), j * m + r
+                        witness, expected = staircase(m, n, m - 1), j * m + r
                     elif j != 0 and r != 0:
-                        witness, expected = staircase_b(m, n), (j - 1) * m + 1 + (r - 1)
+                        witness, expected = staircase(m, n, 0), (j - 1) * m + 1 + (r - 1)
                     else:
                         continue
                     traced = cycle_distance(witness, (i, j))
@@ -162,7 +158,7 @@ def test_criterion_6_even_distance_cycles_all_targets():
                 continue
             spec = TorusSpec.power(m, n)
             for v in spec.vertices():
-                witness, dist = even_distance_cycle_power(m, n, v)
+                witness, dist = even_distance_cycle(m, v)
                 if dist % 2 or cycle_distance(witness, v) != dist:
                     failures.append((m, n, v, dist))
                 checked += 1

@@ -32,20 +32,14 @@ def test_public_names_are_pinned():
         "TorusSpec",
         "Vertex",
         "Word",
-        "any_cycle_power",
         "endpoint_set",
         "enumerate_torus_specs",
-        "even_distance_cycle_power",
         "flat_length",
         "ham_cycle_exists_2d",
         "ham_cycle_witness",
         "ham_path_exists",
         "ham_path_witness",
         "hamiltonian_path",
-        "identity_perm",
-        "prism_path_arcs",
-        "staircase_a",
-        "staircase_b",
         "trace",
         "transposition",
         "verify_ham_cycle",

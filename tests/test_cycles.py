@@ -2,21 +2,10 @@ import random
 
 import pytest
 
-from torusham import (
-    Cycle,
-    TorusSpec,
-    any_cycle_power,
-    even_distance_cycle_power,
-    identity_perm,
-    staircase_a,
-    staircase_b,
-    trace,
-    transposition,
-    verify_ham_cycle,
-)
+from torusham import Cycle, TorusSpec, trace, transposition, verify_ham_cycle
 from torusham.cycles import _any_cycle_distance, _arc_table, _lift
 
-from conftest import cycle_distance
+from conftest import any_cycle, cycle_distance, even_distance_cycle, staircase
 
 # arc relabelling that exchanges generators 0 and 1
 _SWAP = _arc_table((1, 0))
@@ -31,40 +20,36 @@ def _permuted(v, perm):
 
 
 def test_staircase_a_examples():
-    w = staircase_a(3, 3)
+    w = staircase(3, 3, 2)
     assert w.arcs == bytes([0, 0, 1] * 3)
     assert w.length == 9
-    small = staircase_a(2, 2)
+    small = staircase(2, 2, 1)
     vs = list(trace(small.spec, (0, 0), small.arcs))
     assert vs == [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
-    with pytest.raises(ValueError, match="multiple"):
-        staircase_a(3, 4)
 
 
 def test_staircase_b_examples():
-    assert staircase_b(3, 3).arcs == bytes([1, 0, 0] * 3)
-    assert staircase_b(3, 6).length == 18
-    with pytest.raises(ValueError, match="multiple"):
-        staircase_b(2, 3)
+    assert staircase(3, 3, 0).arcs == bytes([1, 0, 0] * 3)
+    assert staircase(3, 6, 0).length == 18
 
 
 def test_classify_case_examples():
-    # the base rule picks staircase_a, staircase_a on swapped coordinates, or staircase_b
-    a, b = staircase_a(3, 3).arcs, staircase_b(3, 3).arcs
+    # the base rule picks S_a = staircase(3, 3, 2), S_a on swapped coordinates, or S_b
+    a, b = staircase(3, 3, 2).arcs, staircase(3, 3, 0).arcs
     cases = {(1, 2): (a, 6), (0, 0): (a, 0), (1, 0): (a.translate(_SWAP), 4), (2, 2): (b, 4)}
     for v, expected in cases.items():
-        cycle, dist = even_distance_cycle_power(3, 2, v)
+        cycle, dist = even_distance_cycle(3, v)
         assert (cycle.arcs, dist) == expected, v
 
 
 def test_even_distance_2d_examples():
-    w, d = even_distance_cycle_power(3, 2, (1, 2))
+    w, d = even_distance_cycle(3, (1, 2))
     assert d == 6 and cycle_distance(w, (1, 2)) == 6
-    assert cycle_distance(staircase_b(3, 9), (2, 3)) == 8
-    w, d = even_distance_cycle_power(5, 2, (0, 0))
+    assert cycle_distance(staircase(3, 9, 0), (2, 3)) == 8
+    w, d = even_distance_cycle(5, (0, 0))
     assert d == 0
     # (1, 0) is in neither class (1) nor (2); its swap (0, 1) is in class (1)
-    w, d = even_distance_cycle_power(3, 2, (1, 0))
+    w, d = even_distance_cycle(3, (1, 0))
     assert d == 4 and cycle_distance(w, (1, 0)) == 4
 
 
@@ -74,8 +59,8 @@ def _r(m, i, j):
 
 def test_staircase_closed_forms_by_enumeration():
     for m, n in [(3, 3), (3, 6), (5, 5)]:
-        a = staircase_a(m, n)
-        b = staircase_b(m, n)
+        a = staircase(m, n, m - 1)
+        b = staircase(m, n, 0)
         for i in range(m):
             for j in range(n):
                 r = _r(m, i, j)
@@ -86,41 +71,34 @@ def test_staircase_closed_forms_by_enumeration():
 
 
 def test_even_distance_power_base_case():
-    w, d = even_distance_cycle_power(3, 2, (1, 2))
-    assert d == 6 and w.arcs == staircase_a(3, 3).arcs
+    w, d = even_distance_cycle(3, (1, 2))
+    assert d == 6 and w.arcs == staircase(3, 3, 2).arcs
     assert cycle_distance(w, (1, 2)) == 6
-    w, d = even_distance_cycle_power(3, 2, (0, 0))
+    w, d = even_distance_cycle(3, (0, 0))
     assert d == 0
     # (2, 1): j + r = 1 + 0 odd, i + r = 2 + 0 even, so the swap fires
-    w, d = even_distance_cycle_power(3, 2, (2, 1))
-    assert w.arcs == staircase_a(3, 3).arcs.translate(_SWAP)
+    w, d = even_distance_cycle(3, (2, 1))
+    assert w.arcs == staircase(3, 3, 2).arcs.translate(_SWAP)
     assert cycle_distance(w, (2, 1)) == d and d % 2 == 0
 
 
 def test_even_distance_power_dimension_three():
-    w, d = even_distance_cycle_power(3, 3, (1, 1, 1))
+    w, d = even_distance_cycle(3, (1, 1, 1))
     assert w.length == 27 and d % 2 == 0
     assert cycle_distance(w, (1, 1, 1)) == d
-
-
-def test_even_distance_power_rejects_even_m():
-    with pytest.raises(ValueError, match="odd"):
-        even_distance_cycle_power(2, 3, (0, 0, 0))
-    with pytest.raises(ValueError, match="odd"):
-        even_distance_cycle_power(4, 2, (0, 0))
 
 
 def test_even_distance_power_full_sweep_tiny():
     spec = TorusSpec.power(3, 2)
     for v in spec.vertices():
-        w, d = even_distance_cycle_power(3, 2, v)
+        w, d = even_distance_cycle(3, v)
         assert d % 2 == 0
         assert cycle_distance(w, v) == d
 
 
 def test_conjugate_cycle_distance_relation():
     # relabelling arcs by a transposition carries distances to the permuted target
-    inner = staircase_a(3, 3)
+    inner = staircase(3, 3, 2)
     spec = inner.spec
     perm = transposition(2, 0, 1)
     conj = Cycle(spec, inner.arcs.translate(_arc_table(perm)))
@@ -134,7 +112,7 @@ def test_any_cycle_power_small_sweep():
     for m in range(2, 8):
         n = 1
         while m**n <= 2401:
-            w = any_cycle_power(m, n)
+            w = any_cycle(m, n)
             assert w.spec.moduli == (m,) * n
             assert isinstance(verify_ham_cycle(w.spec, w.arcs), Cycle)
             vs = list(trace(w.spec, w.base, w.arcs))[:-1]
@@ -152,14 +130,14 @@ def test_even_distance_cycle_power_is_hamiltonian_with_its_distance(m, n):
     if m**n > 243:
         targets = [spec.zero()] + random.Random(10 * m + n).sample(targets, 24)
     for v in targets:
-        cycle, dist = even_distance_cycle_power(m, n, v)
+        cycle, dist = even_distance_cycle(m, v)
         assert dist % 2 == 0
         assert isinstance(verify_ham_cycle(spec, cycle.arcs), Cycle)
         assert cycle_distance(cycle, v) == dist
 
 
-# The recursive builder that the plan-and-loop form of even_distance_cycle_power
-# replaced, kept as the reference it must equal byte for byte: each level
+# The recursive builder that the planned lift chain (_even_distance_levels,
+# then _lift_chain) replaced, kept as the reference it must equal byte for byte: each level
 # classifies its 2-dimensional target, recurses and conjugates the inner cycle.
 
 
@@ -192,16 +170,16 @@ def _ref_even_distance_cycle_power(m, n, v):
         i, j = v
         r = (i + j) % m
         if (j + r) % 2 == 0:
-            return _ref_2d(m, (i, j), identity_perm(2))
+            return _ref_2d(m, (i, j), (0, 1))
         if (i + r) % 2 == 0:
             return _ref_2d(m, (j, i), transposition(2, 0, 1))
         if j != 0:
-            return _ref_2d(m, (i, j), identity_perm(2))
+            return _ref_2d(m, (i, j), (0, 1))
         return _ref_2d(m, (j, i), transposition(2, 0, 1))
     if all(c == 0 for c in v):
-        return any_cycle_power(m, n).arcs, 0, identity_perm(n)
+        return any_cycle(m, n).arcs, 0, tuple(range(n))
     last = max(idx for idx, c in enumerate(v) if c != 0)
-    perm = identity_perm(n) if last == n - 1 else transposition(n, last, n - 1)
+    perm = tuple(range(n)) if last == n - 1 else transposition(n, last, n - 1)
     u = _permuted(v, perm)
     inner_raw, inner_dist, inner_perm = _ref_even_distance_cycle_power(m, n - 1, u[1:])
     assert inner_dist % 2 == 0 and inner_dist != 0
@@ -227,7 +205,7 @@ def _reference_targets():
 def test_even_distance_cycle_power_matches_the_recursive_reference():
     checked = 0
     for m, n, v in _reference_targets():
-        cycle, dist = even_distance_cycle_power(m, n, v)
+        cycle, dist = even_distance_cycle(m, v)
         raw, ref_dist, perm = _ref_even_distance_cycle_power(m, n, v)
         assert (cycle.arcs, dist) == (_ref_conjugate(raw, perm), ref_dist), (m, n, v)
         checked += 1

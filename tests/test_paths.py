@@ -17,18 +17,16 @@ from torusham import (
     Symbol,
     TorusSpec,
     hamiltonian_path,
-    prism_path_arcs,
-    staircase_a,
     trace,
     verify_ham_path,
     verify_ham_cycle,
     Cycle,
 )
-from torusham import paths, words
+from torusham import cycles, paths, words
 from torusham.cli import certificate_record
 from torusham.words import expect_path
 
-from conftest import expand
+from conftest import expand, prism_path_arcs, staircase
 
 
 def _prism_walk(m, N, arcs):
@@ -70,11 +68,9 @@ def test_prism_word_collapsed_blocks():
 
 def test_prism_word_range_check():
     with pytest.raises(ValueError, match="n must"):
-        prism_path_arcs(3, 9, 5)
+        paths._roll(3, bytes(9), 5)
     with pytest.raises(ValueError, match="n must"):
-        prism_path_arcs(3, 9, -1)
-    with pytest.raises(ValueError, match="N >= 2"):
-        prism_path_arcs(1, 9, 0)
+        paths._roll(3, bytes(9), -1)
 
 
 def test_prism_word_is_ham_path_small_sweep():
@@ -129,12 +125,12 @@ def test_path_from_inner_cycle_k2():
 
 
 def test_path_from_inner_cycle_n_zero_targets_minus_x1():
-    cert = _rolled_certificate(3, 3, staircase_a(3, 3), 0)
+    cert = _rolled_certificate(3, 3, staircase(3, 3, 2), 0)
     assert cert.verified and cert.target == (2, 0, 0)
 
 
 def test_path_from_inner_cycle_even_m():
-    cert = _rolled_certificate(2, 3, staircase_a(2, 2), 1)
+    cert = _rolled_certificate(2, 3, staircase(2, 2, 1), 1)
     assert cert.verified and cert.length == 7
 
 
@@ -315,3 +311,13 @@ def test_paths_imports_from_words_only_the_certificate_and_expect_path():
         for alias in node.names
     ]
     assert sorted(names) == ["PathCertificate", "expect_path"]
+
+
+def test_cycles_imports_from_the_package_only_torus():
+    # the arc builders cannot reach the trusted checker, in words or anywhere else
+    tree = ast.parse(Path(cycles.__file__).read_text())
+    relative = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    absolute = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    absolute += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level]
+    assert relative == ["torus"]
+    assert [name for name in absolute if name.split(".")[0] == "torusham"] == []

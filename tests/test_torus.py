@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from torusham import TorusSpec, identity_perm, transposition
+from torusham import TorusSpec, transposition
 
 
 def test_moduli_validation():
@@ -60,7 +60,6 @@ def test_congruence_examples():
 
 def test_perm_helpers():
     assert transposition(4, 1, 3) == (0, 3, 2, 1)
-    assert identity_perm(3) == (0, 1, 2)
 
 
 SPEC = TorusSpec((3, 4, 2))

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import cycle_distance, expand, generator_words, walk_reference, word_trees
+from conftest import (
+    any_cycle,
+    cycle_distance,
+    expand,
+    generator_words,
+    staircase,
+    walk_reference,
+    word_trees,
+)
 from torusham import (
     Concat,
     Cycle,
@@ -18,11 +26,8 @@ from torusham import (
     Power,
     Symbol,
     TorusSpec,
-    any_cycle_power,
     flat_length,
     hamiltonian_path,
-    staircase_a,
-    staircase_b,
     trace,
     verify_ham_cycle,
     verify_ham_path,
@@ -265,15 +270,15 @@ def test_verify_ham_cycle_wrong_closure():
 
 
 def test_cycle_distance_examples():
-    a = staircase_a(3, 3)
+    a = staircase(3, 3, 2)
     assert cycle_distance(a, (1, 2)) == 6
     assert cycle_distance(a, (0, 0)) == 0
-    b = staircase_b(3, 3)
+    b = staircase(3, 3, 0)
     assert cycle_distance(b, (0, 1)) == 1
 
 
 def test_cycle_distance_is_bijection():
-    for witness in (staircase_a(3, 6), staircase_b(5, 5)):
+    for witness in (staircase(3, 6, 2), staircase(5, 5, 0)):
         positions = {cycle_distance(witness, v) for v in witness.spec.vertices()}
         assert positions == set(range(witness.spec.vertex_count))
 
@@ -363,11 +368,11 @@ def test_walk_finds_a_vertex_marked_in_an_earlier_slice(monkeypatch, size):
 @pytest.mark.parametrize(
     "cycle, size",
     [
-        (staircase_a(2, 2), 1),
-        (staircase_a(2, 4), 2),
-        (staircase_a(3, 3), 3),
-        (any_cycle_power(3, 3), 3),
-        (staircase_b(7, 7), 7),
+        (staircase(2, 2, 1), 1),
+        (staircase(2, 4, 1), 2),
+        (staircase(3, 3, 2), 3),
+        (any_cycle(3, 3), 3),
+        (staircase(7, 7, 0), 7),
     ],
     ids=["2x2", "2x4", "3x3", "3x3x3", "7x7"],
 )
