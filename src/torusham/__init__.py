@@ -4,10 +4,11 @@ The headline entry point is `hamiltonian_path(m, k, u, v)`, which returns a
 trace-verified `PathCertificate` whenever the endpoint congruence
 sum(v - u) = -1 (mod m) holds with k >= 3, and a `Refusal` explaining the
 obstruction otherwise.  The `oracle` module provides independent brute-force
-ground truth on small (possibly mixed-moduli) tori.
+ground truth on small (possibly mixed-moduli) tori; it is imported on first
+use of one of its names.
 """
 
-from .torus import TorusSpec, Vertex, transposition
+from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex, transposition
 from .words import (
     Concat,
     ConstructionError,
@@ -26,18 +27,27 @@ from .words import (
     word_to_text,
 )
 from .paths import Refusal, hamiltonian_path
-from .oracle import (
-    DEFAULT_CAP,
-    HARD_CAP,
-    EndpointReport,
-    SizeCapError,
-    endpoint_set,
-    enumerate_torus_specs,
-    ham_cycle_exists_2d,
-    ham_cycle_witness,
-    ham_path_exists,
-    ham_path_witness,
-)
+
+# resolved by __getattr__ on first use, so `construct` and `verify` start without the oracle
+_ORACLE_NAMES = frozenset({
+    "EndpointReport",
+    "SizeCapError",
+    "endpoint_set",
+    "enumerate_torus_specs",
+    "ham_cycle_exists_2d",
+    "ham_cycle_witness",
+    "ham_path_exists",
+    "ham_path_witness",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Concat",

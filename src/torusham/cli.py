@@ -13,18 +13,9 @@ import json
 import os
 import sys
 
-from .torus import TorusSpec, Vertex
+from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex
 from .words import PathCertificate, _checked_flat, trace, verify_ham_path
 from .paths import Refusal, hamiltonian_path
-from .oracle import (
-    DEFAULT_CAP,
-    HARD_CAP,
-    EndpointReport,
-    _check_hard_cap,
-    endpoint_set,
-    enumerate_torus_specs,
-    ham_cycle_exists_2d,
-)
 
 DOT_VERTEX_LIMIT = 512
 
@@ -60,18 +51,39 @@ def parse_moduli(text: str) -> tuple[int, ...]:
     return tuple(moduli)
 
 
-def certificate_record(cert: PathCertificate) -> dict:
+def certificate_record(cert: PathCertificate, text: str | None = None) -> dict:
+    """The JSON record of a certificate; `text`, when given, stands in for cert.text."""
     return {
         "moduli": list(cert.spec.moduli),
         "from": list(cert.start),
         "to": list(cert.target),
-        "word": {"nested": cert.text},
+        "word": {"nested": cert.text if text is None else text},
         "verified": cert.verified,
         "length": cert.length,
     }
 
 
-def endpoint_record(report: EndpointReport) -> dict:
+def _write_text(cert: PathCertificate, head: str = "", tail: str = "") -> None:
+    """Write head, cert's nested text and tail, then a newline, to stdout, the text slice by slice.
+
+    No copy of the whole text is made.  It holds only generator names,
+    digits, ^, spaces and brackets, so it is also valid inside a JSON string.
+    """
+    write = sys.stdout.write
+    write(head)
+    for piece in cert.text_slices():
+        write(piece)
+    write(tail + "\n")
+
+
+def _write_record(cert: PathCertificate) -> None:
+    """Write json.dumps(certificate_record(cert)) and a newline to stdout, streaming the text."""
+    head, _, tail = json.dumps(certificate_record(cert, "")).partition('"nested": ""')
+    _write_text(cert, head + '"nested": "', '"' + tail)
+
+
+def endpoint_record(report) -> dict:
+    """The JSON record of an oracle EndpointReport."""
     return {
         "moduli": list(report.spec.moduli),
         "start": list(report.start),
@@ -161,9 +173,9 @@ def cmd_construct(args) -> int:
         print(f"refused: {outcome.message}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(certificate_record(outcome)))
+        _write_record(outcome)
     elif args.format == "word":
-        print(outcome.text)
+        _write_text(outcome)
     elif args.format == "vertices":
         for v in trace(outcome.spec, outcome.start, outcome.arcs):
             print(",".join(map(str, v)))
@@ -172,48 +184,55 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | bytes | list[int]]:
+    """verify's (spec, start, target, word): from the flags, then a record, text or flat array.
+
+    The input text and the decoded record are dropped on return, before the word is checked.
+    """
+    if (args.m is None) != (args.k is None):
+        raise ValueError("--m and --k must be given together")
+    if args.file:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    else:
+        raw = sys.stdin.read()
+    raw = raw.strip()
+    if not raw:
+        raise ValueError("no word supplied on stdin or via --file")
+    moduli = None
+    start_text, target_text = args.from_, args.to
+    try:
+        payload = json.loads(raw)
+    except json.JSONDecodeError:
+        word = raw
+    else:
+        if isinstance(payload, dict):
+            word = word_from_record(payload.get("word", payload))
+            if "moduli" in payload:
+                moduli = tuple(_record_ints(payload, "moduli"))
+            if start_text is None and "from" in payload:
+                start_text = ",".join(map(str, _record_ints(payload, "from")))
+            if target_text is None and "to" in payload:
+                target_text = ",".join(map(str, _record_ints(payload, "to")))
+        else:
+            word = word_from_record(payload)
+    if args.m is None and moduli is None:
+        raise ValueError("need --m and --k (or a JSON record with moduli)")
+    spec = TorusSpec(moduli) if args.m is None else TorusSpec.power(args.m, args.k)
+    if target_text is None:
+        raise ValueError("need --to (or a JSON record with a 'to' entry)")
+    start = spec.zero() if start_text is None else parse_vertex(start_text, spec.k)
+    return spec, start, parse_vertex(target_text, spec.k), word
+
+
 def cmd_verify(args) -> int:
     try:
-        if (args.m is None) != (args.k is None):
-            raise ValueError("--m and --k must be given together")
-        if args.file:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        else:
-            raw = sys.stdin.read()
-        raw = raw.strip()
-        if not raw:
-            raise ValueError("no word supplied on stdin or via --file")
-        moduli = None
-        start_text, target_text = args.from_, args.to
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError:
-            word = raw
-        else:
-            if isinstance(payload, dict):
-                word = word_from_record(payload.get("word", payload))
-                if "moduli" in payload:
-                    moduli = tuple(_record_ints(payload, "moduli"))
-                if start_text is None and "from" in payload:
-                    start_text = ",".join(map(str, _record_ints(payload, "from")))
-                if target_text is None and "to" in payload:
-                    target_text = ",".join(map(str, _record_ints(payload, "to")))
-            else:
-                word = word_from_record(payload)
-        if args.m is None and moduli is None:
-            raise ValueError("need --m and --k (or a JSON record with moduli)")
-        spec = TorusSpec(moduli) if args.m is None else TorusSpec.power(args.m, args.k)
-        if target_text is None:
-            raise ValueError("need --to (or a JSON record with a 'to' entry)")
-        start = spec.zero() if start_text is None else parse_vertex(start_text, spec.k)
-        target = parse_vertex(target_text, spec.k)
-        cert = verify_ham_path(spec, start, target, word)
+        cert = verify_ham_path(*_read_claim(args))
     except (OSError, ValueError, RecursionError, MemoryError) as exc:
         # OSError: an unreadable --file; RecursionError: JSON nesting too deep
         return _error(exc)
     if cert.verified:
-        print(json.dumps(certificate_record(cert)))
+        _write_record(cert)
         return 0
     where = "" if cert.failure_position is None else f" at step {cert.failure_position}"
     print(f"not a hamiltonian path: {cert.failure}{where}", file=sys.stderr)
@@ -221,6 +240,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_endpoints(args) -> int:
+    from .oracle import endpoint_set
+
     try:
         spec = TorusSpec(parse_moduli(args.moduli))
         cap = args.cap if args.cap is not None else _env_cap()
@@ -232,6 +253,8 @@ def cmd_endpoints(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .oracle import _check_hard_cap, endpoint_set, enumerate_torus_specs, ham_cycle_exists_2d
+
     try:
         # before enumerating: when no spec fits, no endpoint_set call would check it
         _check_hard_cap(args.max_vertices)

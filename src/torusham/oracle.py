@@ -18,13 +18,10 @@ Z_2 x Z_2 x Z_odd still grow fast: (2,2,9) takes about 1.5 s and (2,2,11)
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
-from .torus import TorusSpec, Vertex
-
-DEFAULT_CAP = 32
-HARD_CAP = 64
+from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex
 
 
 class SizeCapError(ValueError):

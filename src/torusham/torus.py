@@ -13,11 +13,17 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 Vertex = tuple[int, ...]
 Perm = tuple[int, ...]
+
+# vertex bounds of the oracle's exhaustive searches: the default and the
+# most a caller may ask for.  They live here so the CLI's help can print
+# them without importing the oracle.
+DEFAULT_CAP = 32
+HARD_CAP = 64
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Iterable, Iterator
 
 from .torus import TorusSpec, Vertex
 
@@ -318,6 +318,12 @@ class PathCertificate:
             return word_to_text(self.claim)
         return text_from_arcs(self.arcs, self.runs)
 
+    def text_slices(self) -> Iterator[str]:
+        """The pieces of `text`, in order: the arcs' text rendered slice by slice, else the whole text."""
+        if self.claim is None:
+            return _text_slices(self.arcs, self.runs)
+        return iter((self.text,))
+
 
 @dataclass(frozen=True)
 class Cycle:
@@ -483,6 +489,10 @@ def expect_path(
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:\s*\^\s*\d+)*|\^\s*\d+|\d+|[()^]")
 _CARET_RE = re.compile(r"\s*\^\s*")
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z()^]")
+# the ASCII characters _BAD_CHAR_RE accepts, bar whitespace other than a space, as a
+# str.translate table that deletes them: arcs_from_text runs the regex on what is left
+_PLAIN = dict.fromkeys(c for c in range(128) if not _BAD_CHAR_RE.match(chr(c)) and not chr(c).isspace())
+_PLAIN[ord(" ")] = None
 _GEN_RE = re.compile(r"x[0-9]+\Z")
 # "(", or ")" with the exponent chain that follows it: the groups arcs_from_text splits on
 _GROUP_RE = re.compile(r"(\(|\)(?:\s*\^\s*\d+)*)")
@@ -494,8 +504,8 @@ _SLICE = 1 << 16
 _HEAD = 256
 # the ratio of g0 arcs to other arcs, and the least m0, above which _walk marks a slice run by run
 _RUNS = 6
-# the text of each byte as a lone symbol
-_NAMES = tuple(f"x{g + 1}" for g in range(256))
+# the text of each byte as a lone symbol, after the space that separates it from the token before
+_NAMES = tuple(f" x{g + 1}" for g in range(256))
 
 
 def word_to_text(w: Word) -> str:
@@ -554,10 +564,12 @@ def _checked_flat(arcs: Iterable[int]) -> bytes | list[int]:
 
     Every entry is checked to be a non-negative int, in C passes: one over
     the types and one bytes() conversion.  Only a conversion that fails
-    looks for a negative entry.  The verifiers take either result as flat
-    arcs.
+    looks for a negative entry.  A list is read as it is, and returned
+    itself when an entry is past a byte; any other iterable is copied to
+    one first.  The verifiers take either result as flat arcs.
     """
-    arcs = list(arcs)
+    if not isinstance(arcs, list):
+        arcs = list(arcs)
     # set() would merge 1, 1.0 and True, so the check is on the types
     if set(map(type, arcs)) <= {int}:
         try:
@@ -592,31 +604,48 @@ def text_from_arcs(arcs: bytes, g: int | None = None) -> str:
     """Nested text of flat arcs, each maximal run of generator g written as a power.
 
     Equals word_to_text(word_from_runs(arcs, g)), and for g None
-    word_to_text(word_from_flat(arcs)), without building the tree: one
-    regex pass over the runs and one join, in slices of about _SLICE arcs
-    that end where a run does.
+    word_to_text(word_from_flat(arcs)), without building the tree: the
+    pieces of _text_slices, joined.
     """
-    if g is None:
-        tokens_re, tail = re.compile(b".", re.DOTALL), None
-    else:
-        run = re.escape(bytes([g]))
-        tokens_re, tail = re.compile(run + b"+|.", re.DOTALL), re.compile(run + b"*")
-    names: dict[bytes, str] = {}
-    pieces = ["("]
+    return "".join(_text_slices(arcs, g))
+
+
+def _text_slices(arcs: bytes, g: int | None) -> Iterator[str]:
+    """text_from_arcs(arcs, g) in pieces: "(", the texts of slices of the arcs, ")".
+
+    Each slice is about _SLICE arcs and ends where a run of g does.  Every
+    token is written with the space before it, and the first slice drops
+    its leading one.  A slice's text is one join: of each arc's token for
+    g None, else of each run of g and the arc after it, the runs found by
+    one translate and one split, as _walk finds them.
+    """
+    if g is not None:
+        run = _BYTE_VALUES[g : g + 1]
+        tail = re.compile(re.escape(run) + b"*")
+        # g to 0 and any other arc to 1: a split on 1 gives the run of g before each other arc
+        mark = b"\1" * g + b"\0" + b"\1" * (255 - g)
+        names = {b"": ""}
+    yield "("
     pos = 0
     while pos < len(arcs):
         end = min(pos + _SLICE, len(arcs))
-        if tail is not None:
+        if g is None:
+            text = "".join(map(_NAMES.__getitem__, arcs[pos:end]))
+        else:
             end = tail.match(arcs, end).end()
-        tokens = tokens_re.findall(arcs, pos, end)
-        for t in set(tokens).difference(names):
-            names[t] = _NAMES[t[0]] if len(t) == 1 else f"x{g + 1}^{len(t)}"
-        if pos:
-            pieces.append(" ")
-        pieces.append(" ".join(map(names.__getitem__, tokens)))
+            part = arcs[pos:end]
+            runs = part.translate(mark).split(b"\1")
+            others = part.translate(None, run)
+            for r in set(runs).difference(names):
+                names[r] = _NAMES[g] if len(r) == 1 else f" x{g + 1}^{len(r)}"
+            # each run, then the arc after it, and the last run
+            tokens = [""] * (2 * len(others) + 1)
+            tokens[0::2] = map(names.__getitem__, runs)
+            tokens[1::2] = map(_NAMES.__getitem__, others)
+            text = "".join(tokens)
+        yield text[1:] if pos == 0 else text
         pos = end
-    pieces.append(")")
-    return "".join(pieces)
+    yield ")"
 
 
 def _leaf(token: str) -> tuple[int, list[int]]:
@@ -659,7 +688,7 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
     are held as 255 in the arcs, so top is what reports them.  Raises
     word_from_text's ValueError on the same texts.
 
-    One stack of open groups, each holding its arcs as latin-1 pieces.
+    One stack of open groups, each holding its arcs as pieces of bytes.
     Every item, a run of leaf tokens or a closed group, is counted into
     the open group against the arcs held in all of them, so no allocation
     exceeds budget: a group that overflows only counts its length from
@@ -668,13 +697,21 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
     per parenthesis, new distinct leaf token and slice of about _SLICE
     characters; each slice's run of leaf tokens is split on whitespace (or
     tokenized, where a chunk is not one leaf token), looked up, summed and
-    joined by C calls.
+    joined by C calls.  A slice of single arcs is counted by its number of
+    tokens, and a slice of canonical tokens split on single spaces is its
+    own canonical text.  The characters are checked by one str.translate
+    that deletes the accepted ASCII ones and one regex pass over the rest.
     """
-    if _BAD_CHAR_RE.search(text):
+    rest = text.translate(_PLAIN)
+    if rest and _BAD_CHAR_RE.search(rest):
         raise ValueError("unrecognized characters in word text")
+    # no whitespace but spaces: a chunk split into r tokens at r - 1 spaces has one per gap
+    plain = not rest
     labels: dict[str, int] = {}
     lengths: dict[str, int] = {}
     texts: dict[str, str] = {}
+    ones: set[str] = set()  # leaf tokens of one arc
+    verbatim: set[str] = set()  # leaf tokens that are their own canonical text
     canon: list[str] = []  # canonical text pieces, in order
     live = 0  # arcs held in the pieces of the open groups
     stack: list[list] = []  # the open groups around `group`
@@ -701,10 +738,13 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
             continue
         if i % 2 == 0:
             for pos, end in _cuts(seg, _SLICE):
-                run = seg[pos:end].split()
+                # a slice after the first starts with the whitespace it was cut at; one character of it is dropped
+                chunk = seg[pos + (pos > 0) : end]
+                run = chunk.split()
                 distinct = set(run)
                 new = distinct.difference(labels)
-                if not all(_TOKEN_RE.fullmatch(tok) and tok[0] != "^" for tok in new):
+                split = all(_TOKEN_RE.fullmatch(tok) and tok[0] != "^" for tok in new)
+                if not split:
                     # a chunk holds several tokens, or a token spans whitespace or is an exponent
                     run = _TOKEN_RE.findall(seg, pos, end)
                     distinct = set(run)
@@ -723,15 +763,23 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
                         continue
                     lengths[tok] = math.prod(exponents)
                     texts[tok] = f"x{labels[tok] + 1}" + "".join(map("^{}".format, exponents))
+                    if lengths[tok] == 1:
+                        ones.add(tok)
+                    if texts[tok] == tok:
+                        verbatim.add(tok)
                 if bad:
                     raise next(bad[tok] for tok in run if tok in bad)
-                n = sum(map(lengths.__getitem__, run))
+                n = len(run) if distinct <= ones else sum(map(lengths.__getitem__, run))
                 canon.append(" " if group[1] else "")
-                canon.append(" ".join(map(texts.__getitem__, run)))
+                if plain and split and distinct <= verbatim and chunk.count(" ") == len(run) - 1:
+                    # canonical tokens, one space apart: the chunk is its own canonical text
+                    canon.append(chunk)
+                else:
+                    canon.append(" ".join(map(texts.__getitem__, run)))
                 pieces = None
                 if group[0] is not None and live + n <= budget:
-                    chars = {tok: chr(min(labels[tok], 255)) * lengths[tok] for tok in distinct}
-                    pieces = ["".join(map(chars.__getitem__, run))]
+                    chars = {tok: bytes([min(labels[tok], 255)]) * lengths[tok] for tok in distinct}
+                    pieces = [b"".join(map(chars.__getitem__, run))]
                 top = max((labels[t] for t in distinct if lengths[t]), default=-1)
                 put(len(run), n, top, pieces)
         elif seg == "(":
@@ -752,12 +800,14 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
                 live -= n
                 if e != 1:
                     # an exponent 0 holds no arcs, whatever the group held
-                    pieces = ["".join(pieces) * e] if e and live + n * e <= budget else None
+                    pieces = [b"".join(pieces) * e] if e and live + n * e <= budget else None
             put(1, n * e, top if e else -1, pieces if e else [])
     if stack:
         raise ValueError("unbalanced parenthesis in word text")
     if group[1] != 1:
         canon.insert(0, "(")
         canon.append(")")
-    arcs = None if group[0] is None else "".join(group[0]).encode("latin-1")
-    return group[2], "".join(canon), arcs, group[3]
+    canonical = "".join(canon)
+    del canon  # its pieces are freed before the arcs are joined
+    arcs = None if group[0] is None else b"".join(group[0])
+    return group[2], canonical, arcs, group[3]

@@ -87,17 +87,42 @@ def test_construct_vertices_format():
 
 
 def test_construct_into_closed_pipe_exits_1_without_traceback():
-    # like `construct ... --format vertices | head -1`: 19683 lines overflow the pipe buffer
-    args = ["construct", "--m", "3", "--k", "9", "--to", "2,0,0,0,0,0,0,0,0", "--format", "vertices"]
-    child = subprocess.Popen(
-        BASE + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env()
-    )
-    assert child.stdout.readline() == "0,0,0,0,0,0,0,0,0\n"
-    child.stdout.close()
-    stderr = child.stderr.read()
-    child.stderr.close()
-    assert child.wait(timeout=60) == 1
-    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+    # like `construct ... | head -c 16`: the 19683 lines of (3,9)'s vertices, and the streamed
+    # text of (3,10)'s record, each overflow the pipe buffer
+    cases = [
+        ("9", "--format", "vertices", "0,0,0,0,0,0,0,0,0\n"),
+        ("10", "--format", "json", '{"moduli": [3, 3'),
+    ]
+    for k, flag, fmt, first in cases:
+        args = ["construct", "--m", "3", "--k", k, "--to", "2" + ",0" * (int(k) - 1), flag, fmt]
+        child = subprocess.Popen(
+            BASE + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env()
+        )
+        assert child.stdout.read(len(first)) == first
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1, fmt
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, fmt
+
+
+def test_streamed_records_equal_the_dumped_ones(monkeypatch, capsys):
+    # (3,11) has 177146 arcs, so its text is rendered in several slices
+    m, k, u, v = 3, 11, (1, 0, 2) + (0,) * 8, (0, 2) + (0,) * 9
+    cert = hamiltonian_path(m, k, u, v)
+    assert cert.verified and cert.length > 2 * words._SLICE
+    argv = ["construct", "--m", str(m), "--k", str(k), "--from", ",".join(map(str, u)),
+            "--to", ",".join(map(str, v))]
+    record = certificate_record(cert)
+    assert cli.main(argv) == 0 and capsys.readouterr().out == json.dumps(record) + "\n"
+    assert cli.main(argv + ["--format", "word"]) == 0 and capsys.readouterr().out == cert.text + "\n"
+    # verify's record of a nested claim, and of a flat one, whose text writes each arc on its own
+    for word in ({"nested": cert.text}, {"flat": list(cert.arcs)}):
+        checked = verify_ham_path(cert.spec, u, v, next(iter(word.values())))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(dict(record, word=word))))
+        assert cli.main(["verify"]) == 0
+        assert capsys.readouterr().out == json.dumps(certificate_record(checked)) + "\n"
+    assert checked.text == words.text_from_arcs(cert.arcs) != cert.text
 
 
 def test_construct_dot_format():

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -853,6 +854,74 @@ def test_bytes_codec_slices_long_runs():
 def test_renderer_agrees_with_the_tree_reference(arcs, g):
     assert text_from_arcs(arcs, g) == word_to_text(word_from_runs(arcs, g))
     assert text_from_arcs(arcs) == word_to_text(word_from_flat(arcs))
+
+
+# whitespace to \s: \t, \n, \x0b, \x1c, \x1f, \x85, \xa0 and \u2003; digits to \d: \u0663 and
+# \uff11; neither: \x00, \x07, \x7f and the rest
+PROBE_CHARS = "x1^() \t\n\x0b\x1c\x1f\x85\xa0\u2003\u0663\uff11\x00\x07\x7f!$X\u00e9"
+PROBE_TEXTS = st.one_of(
+    st.text(st.sampled_from(PROBE_CHARS), max_size=24),
+    st.tuples(WORD_TEXTS, st.integers(0, 200), st.sampled_from(PROBE_CHARS)).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(PROBE_TEXTS)
+@example("x1\xa0x2")
+@example("x1\u2003x2 x3")
+@example("x1^\u0663")
+@example("x1\x00")
+@example("(x1 x2)\x7f")
+def test_bytes_parser_refuses_exactly_the_characters_the_regex_finds(text):
+    try:
+        arcs_from_text(text, 40)
+    except ValueError as exc:
+        refused = str(exc) == "unrecognized characters in word text"
+    else:
+        refused = False
+    assert refused == bool(words._BAD_CHAR_RE.search(text))
+
+
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", "\n", " \u2003", " ^ "])
+LEAVES = st.sampled_from(["x1", "x2", "x3", "x1^2", "x2^1", "x3^0", "x01", "x1 ^ 2", "(x1 x2)^2"])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(LEAVES, SEPARATORS), min_size=1, max_size=12), st.sampled_from([4, 8, 64]))
+@example([("x1", "\t"), ("x2", " ")], 4)
+@example([("x1", "\xa0"), ("x2", "  "), ("x3", "\n")], 4)
+@example([("x1", " ^ "), ("2", " "), ("x2", " ")], 4)
+def test_bytes_parser_gives_the_canonical_text_whatever_the_separators(parts, size):
+    # single spaces, the separators the canonical text keeps, interleaved with every other kind
+    text = "".join(leaf + sep for leaf, sep in parts).rstrip()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_SLICE", size)
+        got = _outcome(lambda t: arcs_from_text(t, 200), text)
+    try:
+        tree = word_from_text(text)
+    except ValueError as exc:
+        assert got == (ValueError, str(exc))
+        return
+    assert got[:3] == (flat_length(tree), word_to_text(tree), bytes(expand(tree)))
+
+
+def test_bytes_parser_takes_distinct_tokens_in_linear_time(monkeypatch):
+    # one slice of n distinct leaf tokens: ten times the tokens may not take thirty times as long
+    monkeypatch.setattr(words, "_SLICE", 1 << 30)
+
+    def best(n):
+        text = " ".join(f"x1^{e}" for e in range(1, n + 1))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            got = arcs_from_text(text, 0)
+            times.append(time.perf_counter() - start)
+        assert got[0] == n * (n + 1) // 2 and got[1] == "(" + text + ")" and got[2] is None
+        return min(times)
+
+    assert best(20_000) < 30 * best(2_000)
 
 
 @pytest.mark.parametrize("text", ["x1^1000000000000", "(x1^1000000)^1000000"])
