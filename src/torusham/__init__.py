@@ -28,21 +28,11 @@ from .words import (
 )
 from .paths import Refusal, hamiltonian_path
 
-# resolved by __getattr__ on first use, so `construct` and `verify` start without the oracle
-_ORACLE_NAMES = frozenset({
-    "EndpointReport",
-    "SizeCapError",
-    "endpoint_set",
-    "enumerate_torus_specs",
-    "ham_cycle_exists_2d",
-    "ham_cycle_witness",
-    "ham_path_exists",
-    "ham_path_witness",
-})
-
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
+    # every name in __all__ but the oracle's is bound above: the oracle is imported
+    # on first use of one of its names, so `construct` and `verify` start without it
+    if name in __all__:
         from . import oracle
 
         return getattr(oracle, name)

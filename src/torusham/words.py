@@ -494,7 +494,7 @@ _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z()^]")
 _PLAIN = dict.fromkeys(c for c in range(128) if not _BAD_CHAR_RE.match(chr(c)) and not chr(c).isspace())
 _PLAIN[ord(" ")] = None
 _GEN_RE = re.compile(r"x[0-9]+\Z")
-# "(", or ")" with the exponent chain that follows it: the groups arcs_from_text splits on
+# "(", or ")" with the exponent chain that follows it: the groups word_from_text splits on
 _GROUP_RE = re.compile(r"(\(|\)(?:\s*\^\s*\d+)*)")
 # whitespace with no ^ on either side, where arcs_from_text cuts a long run
 _CUT_RE = re.compile(r"(?<=[^\s^])\s+(?=[^\s^])")
@@ -662,20 +662,38 @@ def _leaf(token: str) -> tuple[int, list[int]]:
     return index - 1, list(map(int, exponents))
 
 
-def _cuts(seg: str, size: int):
-    """(start, end) bounds of slices of seg, about size long, cut where no token spans.
+def _cuts(seg: str, size: int, pos: int = 0, end: int | None = None):
+    """(start, end) bounds of slices of seg[pos:end], about size long, cut where no token spans.
 
     A token spans whitespace only next to a ^ of an exponent chain, so
     whitespace with no ^ on either side is a cut.
     """
-    pos, end = 0, len(seg)
+    end = len(seg) if end is None else end
     while end - pos > size:
-        found = _CUT_RE.search(seg, pos + size)
+        found = _CUT_RE.search(seg, pos + size, end)
         if found is None:
             break
         yield pos, found.start()
         pos = found.start()
     yield pos, end
+
+
+def _brackets(text: str) -> Iterator[tuple[int, int]]:
+    """(start, end) of each "(", and of each ")" with its exponent chain, in order; then (len, len).
+
+    These are _GROUP_RE's matches, found by str.find rather than by a
+    regex scan of the whole text.  A chain holds no bracket.
+    """
+    opening, closing = text.find("("), text.find(")")
+    while opening >= 0 or closing >= 0:
+        if closing < 0 or 0 <= opening < closing:
+            yield opening, opening + 1
+            opening = text.find("(", opening + 1)
+        else:
+            end = _GROUP_RE.match(text, closing).end()
+            yield closing, end
+            closing = text.find(")", end)
+    yield len(text), len(text)
 
 
 def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]:
@@ -699,8 +717,11 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
     tokenized, where a chunk is not one leaf token), looked up, summed and
     joined by C calls.  A slice of single arcs is counted by its number of
     tokens, and a slice of canonical tokens split on single spaces is its
-    own canonical text.  The characters are checked by one str.translate
-    that deletes the accepted ASCII ones and one regex pass over the rest.
+    own canonical text.  Whole-text passes are few and run in C: one
+    str.translate deletes the accepted ASCII characters and one regex pass
+    checks the rest, and str.find locates the parentheses (_brackets).
+    Slices are cut from the text, not from copies of the runs between
+    parentheses.
     """
     rest = text.translate(_PLAIN)
     if rest and _BAD_CHAR_RE.search(rest):
@@ -733,27 +754,26 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
         group[2] += n
         group[3] = max(group[3], top)
 
-    for i, seg in enumerate(_GROUP_RE.split(text)):
-        if not seg:
-            continue
-        if i % 2 == 0:
-            for pos, end in _cuts(seg, _SLICE):
-                # a slice after the first starts with the whitespace it was cut at; one character of it is dropped
-                chunk = seg[pos + (pos > 0) : end]
-                run = chunk.split()
+    start = 0  # where the leaf tokens before the next bracket start
+    for at, after in _brackets(text):
+        for pos, end in _cuts(text, _SLICE, start, at) if start < at else ():
+            # a slice after the first starts with the whitespace it was cut at; one character of it is dropped
+            chunk = text[pos + (pos > start) : end]
+            run = chunk.split()
+            distinct = set(run)
+            new = distinct.difference(labels)
+            split = not new or all(_TOKEN_RE.fullmatch(tok) and tok[0] != "^" for tok in new)
+            if not split:
+                # a chunk holds several tokens, or a token spans whitespace or is an exponent
+                run = _TOKEN_RE.findall(text, pos, end)
                 distinct = set(run)
                 new = distinct.difference(labels)
-                split = all(_TOKEN_RE.fullmatch(tok) and tok[0] != "^" for tok in new)
-                if not split:
-                    # a chunk holds several tokens, or a token spans whitespace or is an exponent
-                    run = _TOKEN_RE.findall(seg, pos, end)
-                    distinct = set(run)
-                    new = distinct.difference(labels)
-                if not run:
-                    continue
-                # a ^ token with no item before it in its group; after an item, _leaf rejects it
-                if run[0][0] == "^" and not group[1]:
-                    raise ValueError("unexpected token '^' in word text")
+            if not run:
+                continue
+            # a ^ token with no item before it in its group; after an item, _leaf rejects it
+            if run[0][0] == "^" and not group[1]:
+                raise ValueError("unexpected token '^' in word text")
+            if new:
                 bad = {}
                 for tok in new:
                     try:
@@ -769,20 +789,23 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
                         verbatim.add(tok)
                 if bad:
                     raise next(bad[tok] for tok in run if tok in bad)
-                n = len(run) if distinct <= ones else sum(map(lengths.__getitem__, run))
-                canon.append(" " if group[1] else "")
-                if plain and split and distinct <= verbatim and chunk.count(" ") == len(run) - 1:
-                    # canonical tokens, one space apart: the chunk is its own canonical text
-                    canon.append(chunk)
-                else:
-                    canon.append(" ".join(map(texts.__getitem__, run)))
-                pieces = None
-                if group[0] is not None and live + n <= budget:
-                    chars = {tok: bytes([min(labels[tok], 255)]) * lengths[tok] for tok in distinct}
-                    pieces = [b"".join(map(chars.__getitem__, run))]
-                top = max((labels[t] for t in distinct if lengths[t]), default=-1)
-                put(len(run), n, top, pieces)
-        elif seg == "(":
+            n = len(run) if distinct <= ones else sum(map(lengths.__getitem__, run))
+            canon.append(" " if group[1] else "")
+            if plain and split and distinct <= verbatim and chunk.count(" ") == len(run) - 1:
+                # canonical tokens, one space apart: the chunk is its own canonical text
+                canon.append(chunk)
+            else:
+                canon.append(" ".join(map(texts.__getitem__, run)))
+            pieces = None
+            if group[0] is not None and live + n <= budget:
+                chars = {tok: bytes([min(labels[tok], 255)]) * lengths[tok] for tok in distinct}
+                pieces = [b"".join(map(chars.__getitem__, run))]
+            top = max((labels[t] for t in distinct if lengths[t]), default=-1)
+            put(len(run), n, top, pieces)
+        start = after
+        if at == after:
+            break  # the end of the text
+        if text[at] == "(":
             canon.append(" (" if group[1] else "(")
             stack.append(group)
             group = [None if group[0] is None else [], 0, 0, -1]
@@ -790,6 +813,7 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
             raise ValueError("unbalanced parenthesis in word text")
         else:
             # ")" with its exponent chain, cached as a leaf token is
+            seg = text[at:after]
             if seg not in texts:
                 exps = list(map(int, _CARET_RE.split(seg)[1:]))
                 lengths[seg], texts[seg] = math.prod(exps), ")" + "".join(map("^{}".format, exps))

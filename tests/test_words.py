@@ -837,6 +837,18 @@ def test_slice_cuts_split_no_token(text):
         assert sliced == words._TOKEN_RE.findall(seg)
 
 
+@given(WORD_TEXTS)
+def test_brackets_and_cuts_read_the_text_as_the_group_split_does(text):
+    spans = list(words._brackets(text))
+    assert spans == [m.span() for m in words._GROUP_RE.finditer(text)] + [(len(text),) * 2]
+    starts = [0] + [end for _, end in spans[:-1]]
+    for seg, start, (at, _) in zip(words._GROUP_RE.split(text)[::2], starts, spans, strict=True):
+        assert text[start:at] == seg
+        cuts = list(words._cuts(text, 3, start, at))
+        sliced = [tok for pos, end in cuts for tok in words._TOKEN_RE.findall(text, pos, end)]
+        assert sliced == words._TOKEN_RE.findall(seg)
+
+
 def test_bytes_codec_slices_long_runs():
     # several slices each way; the slices of the text start and end mid-run
     rng = random.Random(5)
