@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex
 from .words import PathCertificate, _checked_flat, trace, verify_ham_path
@@ -51,13 +52,12 @@ def parse_moduli(text: str) -> tuple[int, ...]:
     return tuple(moduli)
 
 
-def certificate_record(cert: PathCertificate, text: str | None = None) -> dict:
-    """The JSON record of a certificate; `text`, when given, stands in for cert.text."""
+def certificate_record(cert: PathCertificate) -> dict:
     return {
         "moduli": list(cert.spec.moduli),
         "from": list(cert.start),
         "to": list(cert.target),
-        "word": {"nested": cert.text if text is None else text},
+        "word": {"nested": cert.text},
         "verified": cert.verified,
         "length": cert.length,
     }
@@ -78,7 +78,9 @@ def _write_text(cert: PathCertificate, head: str = "", tail: str = "") -> None:
 
 def _write_record(cert: PathCertificate) -> None:
     """Write json.dumps(certificate_record(cert)) and a newline to stdout, streaming the text."""
-    head, _, tail = json.dumps(certificate_record(cert, "")).partition('"nested": ""')
+    # the record of the same certificate with an empty text claim, split where the text goes
+    blank = json.dumps(certificate_record(replace(cert, claim="")))
+    head, _, tail = blank.partition('"nested": ""')
     _write_text(cert, head + '"nested": "', '"' + tail)
 
 
