@@ -4,8 +4,8 @@ The headline entry point is `hamiltonian_path(m, k, u, v)`, which returns a
 trace-verified `PathCertificate` whenever the endpoint congruence
 sum(v - u) = -1 (mod m) holds with k >= 3, and a `Refusal` explaining the
 obstruction otherwise.  The `oracle` module provides independent brute-force
-ground truth on small (possibly mixed-moduli) tori; it is imported on first
-use of one of its names.
+ground truth on small (possibly mixed-moduli) tori.  It and the construction
+(`paths`) are imported on first use of one of their names.
 """
 
 from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex, transposition
@@ -26,17 +26,18 @@ from .words import (
     word_from_text,
     word_to_text,
 )
-from .paths import Refusal, hamiltonian_path
 
 
 def __getattr__(name: str):
-    # every name in __all__ but the oracle's is bound above: the oracle is imported
-    # on first use of one of its names, so `construct` and `verify` start without it
-    if name in __all__:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the construction's and the oracle's names are imported on first use of one of
+    # them, so `verify` starts without the construction and `construct` without the oracle
+    if name in ("Refusal", "hamiltonian_path"):
+        from . import paths as home
+    elif name in __all__:
+        from . import oracle as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)
 
 
 __all__ = [

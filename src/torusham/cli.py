@@ -12,11 +12,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex
 from .words import PathCertificate, _checked_flat, trace, verify_ham_path
-from .paths import Refusal, hamiltonian_path
 
 DOT_VERTEX_LIMIT = 512
 
@@ -79,8 +77,8 @@ def _write_text(cert: PathCertificate, head: str = "", tail: str = "") -> None:
 def _write_record(cert: PathCertificate) -> None:
     """Write json.dumps(certificate_record(cert)) and a newline to stdout, streaming the text."""
     # the record of the same certificate with an empty text claim, split where the text goes
-    blank = json.dumps(certificate_record(replace(cert, claim="")))
-    head, _, tail = blank.partition('"nested": ""')
+    blank = PathCertificate(cert.spec, cert.start, cert.target, cert.arcs, "", cert.verified)
+    head, _, tail = json.dumps(certificate_record(blank)).partition('"nested": ""')
     _write_text(cert, head + '"nested": "', '"' + tail)
 
 
@@ -159,6 +157,8 @@ def _emit_dot(cert: PathCertificate, stream) -> None:
 
 
 def cmd_construct(args) -> int:
+    from .paths import Refusal, hamiltonian_path
+
     try:
         # --to first: a --k it does not match fails before anything of size --k is built
         target = parse_vertex(args.to, args.k)

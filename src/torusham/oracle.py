@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex
+from .torus import DEFAULT_CAP, HARD_CAP, Record, TorusSpec, Vertex
 
 
 class SizeCapError(ValueError):
@@ -237,8 +236,7 @@ def ham_cycle_exists_2d(m1: int, m2: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class EndpointReport:
+class EndpointReport(Record):
     """Reachable vs congruence-predicted hamiltonian path endpoints.
 
     `predicted` holds the non-start vertices satisfying the distance

@@ -39,9 +39,7 @@ them in runs of tau's first generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .torus import Perm, TorusSpec, Vertex, transposition
+from .torus import Perm, Record, TorusSpec, Vertex, transposition
 from .words import PathCertificate, expect_path
 from .cycles import (
     _SHIFT,
@@ -77,8 +75,7 @@ def _roll(m: int, inner: bytes, n: int) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(Record):
     """A certified non-existence answer for the endpoint congruence.
 
     Every directed path from start to target has length congruent to the
@@ -103,8 +100,7 @@ class Refusal:
         )
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """The construction of a path from 0 to the relative target, as O(k) integers.
 
     `levels` is the inner cycle of (Z_m)^(k-1) as a lift chain: one lift
@@ -195,5 +191,6 @@ def hamiltonian_path(m: int, k: int, u: Vertex, v: Vertex) -> PathCertificate | 
     if isinstance(term, Refusal):
         return term
     arcs = evaluate(term)
-    cert = expect_path(TorusSpec.power(m, k), u, v, arcs)
-    return replace(cert, runs=term.tau[0])
+    spec = TorusSpec.power(m, k)
+    expect_path(spec, u, v, arcs)
+    return PathCertificate(spec, u, v, arcs, None, True, runs=term.tau[0])

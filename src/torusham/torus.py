@@ -14,7 +14,6 @@ import itertools
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 Vertex = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -26,8 +25,57 @@ DEFAULT_CAP = 32
 HARD_CAP = 64
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class Record:
+    """Base of the frozen records: a subclass's fields are its annotations, in order.
+
+    A class attribute named after a field is its default.  A record takes
+    its fields by position or keyword, then runs __post_init__; compares
+    and hashes by its fields, only with records of its own class; repr()s
+    as a dataclass does; and refuses assignment and deletion.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args))
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields) - values.keys():
+            raise TypeError(f"{type(self).__name__}() got too many or unexpected arguments")
+        values = {**self._defaults, **values, **kwargs}
+        if len(values) < len(fields):
+            missing = [name for name in fields if name not in values]
+            raise TypeError(f"{type(self).__name__}() is missing {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TorusSpec(Record):
     """Cycle lengths of the ambient product digraph (every m_i >= 2)."""
 
     moduli: tuple[int, ...]

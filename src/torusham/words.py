@@ -40,18 +40,16 @@ import math
 import operator
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-from .torus import TorusSpec, Vertex
+from .torus import Record, TorusSpec, Vertex
 
 
 class ConstructionError(RuntimeError):
     """A construction produced something its own verifier rejected."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Record):
     label: int
 
     def __post_init__(self) -> None:
@@ -59,13 +57,11 @@ class Symbol:
             raise ValueError(f"label must be a non-negative int, got {self.label!r}")
 
 
-@dataclass(frozen=True)
-class Concat:
+class Concat(Record):
     parts: tuple["Word", ...]
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     base: "Word"
     exponent: int
 
@@ -267,8 +263,7 @@ def _first_repeat(
     raise AssertionError("a slice fell short of its count but repeats no vertex")
 
 
-@dataclass(frozen=True)
-class PathCertificate:
+class PathCertificate(Record):
     """An endpoint-checked hamiltonian path claim.
 
     `arcs` holds the generator indices the trace walked: it is the
@@ -325,8 +320,7 @@ class PathCertificate:
         return iter((self.text,))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """A cycle claim based at 0, flat: one generator index per byte of `arcs`.
 
     Making one checks nothing; `verify_ham_cycle` returns one only for arcs
@@ -345,8 +339,7 @@ class Cycle:
         return len(self.arcs)
 
 
-@dataclass(frozen=True)
-class CycleRejection:
+class CycleRejection(Record):
     spec: TorusSpec
     word: Word | str | bytes | list[int]
     reason: str

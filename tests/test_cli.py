@@ -69,6 +69,14 @@ def test_construct_bad_vertex_reports_position():
     assert "position 2" in got.stderr
 
 
+def test_construct_out_of_range_vertex_names_the_spec(capsys):
+    # the error line embeds the spec's repr
+    assert cli.main(["construct", "--m", "3", "--k", "3", "--to", "5,0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: (5, 0, 0) is not a reduced vertex of TorusSpec(moduli=(3, 3, 3))\n"
+
+
 def test_construct_word_format_round_trips():
     built = run("construct", "--m", "2", "--k", "3", "--to", "1,0,0", "--format", "word")
     assert built.returncode == 0
@@ -142,7 +150,7 @@ def test_dot_format_size_cap():
 
 def test_dot_format_size_cap_comes_before_construction(monkeypatch, capsys):
     # nothing is built past the cap, so an over-cap refused target is an error, not a refusal
-    monkeypatch.setattr(cli, "hamiltonian_path", lambda *args: pytest.fail("built past the cap"))
+    monkeypatch.setattr(paths, "hamiltonian_path", lambda *args: pytest.fail("built past the cap"))
     argv = ["construct", "--m", "3", "--k", "7", "--to", "0,0,0,0,0,0,0", "--format", "dot"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: dot export is capped at 512 vertices, got 2187\n"
@@ -303,7 +311,7 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     def out_of_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "hamiltonian_path", out_of_memory)
+    monkeypatch.setattr(paths, "hamiltonian_path", out_of_memory)
     monkeypatch.setattr(cli, "verify_ham_path", out_of_memory)
     monkeypatch.setattr(sys, "stdin", io.StringIO("x1^26"))
     for argv in (["construct", "--m", "3", "--k", "3", "--to", "2,0,0"],
