@@ -28,26 +28,28 @@ HARD_CAP = 64
 class Record:
     """Base of the frozen records: a subclass's fields are its annotations, in order.
 
-    A class attribute named after a field is its default.  A record takes
-    its fields by position or keyword, then runs __post_init__; compares
-    and hashes by its fields, only with records of its own class; repr()s
-    as a dataclass does; and refuses assignment and deletion.
+    As in a dataclass, a class attribute named after a field is its default,
+    and such fields come last; an instance not given one reads it from the
+    class.  A record takes its fields by position or keyword, then runs
+    __post_init__; compares and hashes by its fields, only with records of
+    its own class; repr()s as a dataclass does; and refuses assignment and
+    deletion.
     """
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._required = sum(name not in cls.__dict__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        values = dict(zip(fields, args))
-        if len(args) > len(fields) or not kwargs.keys() <= set(fields) - values.keys():
+        fields, n = self._fields, len(args)
+        if n > len(fields) or kwargs and not kwargs.keys() <= set(fields[n:]):
             raise TypeError(f"{type(self).__name__}() got too many or unexpected arguments")
-        values = {**self._defaults, **values, **kwargs}
-        if len(values) < len(fields):
-            missing = [name for name in fields if name not in values]
-            raise TypeError(f"{type(self).__name__}() is missing {missing}")
-        self.__dict__.update(values)
+        if n < self._required and not kwargs.keys() >= set(fields[n : self._required]):
+            raise TypeError(f"{type(self).__name__}() needs all of {fields[: self._required]}")
+        values = self.__dict__
+        values.update(zip(fields, args))
+        if kwargs:
+            values.update(kwargs)
         self.__post_init__()
 
     def __post_init__(self) -> None:
