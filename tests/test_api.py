@@ -134,8 +134,8 @@ def test_construction_names_load_paths_on_first_use():
 
 
 def test_no_module_imports_dataclasses():
-    # the records are torus.Record classes: importing dataclasses cost every CLI process
-    # about 6 ms, and making the frozen classes 8-10 ms more
+    # the records are torus.Record classes: importing dataclasses and making frozen
+    # dataclasses were a large share of every CLI process's start-up
     for path in sorted(Path(torusham.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         absolute = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
@@ -252,15 +252,6 @@ def test_records_compare_by_fields_within_one_class():
     assert TorusSpec((3, 3)) != (3, 3)
 
 
-def test_torus_spec_normalises_and_checks_its_moduli():
-    assert TorusSpec([3, 3]).moduli == (3, 3) and TorusSpec([3, 3]) == TorusSpec((3, 3))
-    for bad in ((3.0,), (1,), ()):
-        with pytest.raises(ValueError):
-            TorusSpec(bad)
-
-
 def test_certificate_word_is_built_once():
     cert = hamiltonian_path(3, 3, (0, 0, 0), (2, 0, 0))
     assert cert.word is cert.word
-    with pytest.raises(AttributeError):
-        cert.runs = None

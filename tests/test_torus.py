@@ -14,6 +14,10 @@ def test_moduli_validation():
         TorusSpec((0,))
     with pytest.raises(ValueError, match="integers"):
         TorusSpec((3.9, 3))
+    with pytest.raises(ValueError, match="integers"):
+        TorusSpec((3.0,))
+    # any sequence of moduli is kept as a tuple
+    assert TorusSpec([3, 3]).moduli == (3, 3) and TorusSpec([3, 3]) == TorusSpec((3, 3))
 
 
 def test_vertex_count_overflow_rejected():
