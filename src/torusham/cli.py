@@ -14,7 +14,7 @@ import os
 import sys
 
 from .torus import DEFAULT_CAP, HARD_CAP, TorusSpec, Vertex
-from .words import PathCertificate, _checked_flat, trace, verify_ham_path
+from .words import PathCertificate, trace, verify_ham_path
 
 DOT_VERTEX_LIMIT = 512
 
@@ -26,28 +26,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def parse_vertex(text: str, k: int | None = None) -> Vertex:
-    parts = text.split(",")
-    coords = []
-    for pos, part in enumerate(parts, start=1):
+def _read_ints(text: str, what: str, signed: bool) -> tuple[int, ...]:
+    """Comma-separated decimal integers; "-" may lead one if signed, and int() must read it."""
+    values = []
+    for pos, part in enumerate(text.split(","), start=1):
         token = part.strip()
-        if not token or not token.lstrip("-").isdigit():
-            raise ValueError(f"bad vertex component {token!r} at position {pos}")
-        coords.append(int(token))
+        digits = token[1:] if signed and token[:1] == "-" else token
+        try:
+            if not digits.isdecimal():
+                raise ValueError
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"bad {what} {token!r} at position {pos}") from None
+    return tuple(values)
+
+
+def parse_vertex(text: str, k: int | None = None) -> Vertex:
+    coords = _read_ints(text, "vertex component", signed=True)
     if k is not None and len(coords) != k:
         raise ValueError(f"expected {k} coordinates, got {len(coords)}")
-    return tuple(coords)
+    return coords
 
 
 def parse_moduli(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    moduli = []
-    for pos, part in enumerate(parts, start=1):
-        token = part.strip()
-        if not token.isdigit():
-            raise ValueError(f"bad modulus {token!r} at position {pos}")
-        moduli.append(int(token))
-    return tuple(moduli)
+    return _read_ints(text, "modulus", signed=False)
 
 
 def certificate_record(cert: PathCertificate) -> dict:
@@ -94,10 +96,10 @@ def endpoint_record(report) -> dict:
     }
 
 
-def word_from_record(value) -> str | bytes | list[int]:
-    """The word of a record: its nested text as is, or a flat array checked by _checked_flat.
+def word_from_record(value) -> str | list:
+    """The word of a record: its nested text or its flat array, as is.
 
-    verify_ham_path parses the text, once the spec gives it a length budget.
+    verify_ham_path checks either, once the spec gives it a length budget.
     """
     if isinstance(value, dict):
         for key, kind in (("nested", str), ("flat", list)):
@@ -108,9 +110,7 @@ def word_from_record(value) -> str | bytes | list[int]:
                 break
         else:
             raise ValueError("word object needs a 'nested' or 'flat' entry")
-    if isinstance(value, list):
-        return _checked_flat(value)
-    if isinstance(value, str):
+    if isinstance(value, (str, list)):
         return value
     raise ValueError(f"cannot read a word from {type(value).__name__}")
 
@@ -186,7 +186,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | bytes | list[int]]:
+def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | list]:
     """verify's (spec, start, target, word): from the flags, then a record, text or flat array.
 
     The input text and the decoded record are dropped on return, before the word is checked.
@@ -260,8 +260,6 @@ def cmd_scan(args) -> int:
     try:
         # before enumerating: when no spec fits, no endpoint_set call would check it
         _check_hard_cap(args.max_vertices)
-        if args.max_vertices < 2:
-            raise ValueError(f"cap {args.max_vertices} is below 2, the fewest vertices of a torus")
         for spec in enumerate_torus_specs(args.k, args.max_vertices):
             report = endpoint_set(spec, spec.zero(), cap=args.max_vertices)
             record = endpoint_record(report)

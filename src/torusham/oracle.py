@@ -30,6 +30,8 @@ class SizeCapError(ValueError):
 def _check_hard_cap(cap: int) -> None:
     if cap > HARD_CAP:
         raise SizeCapError(f"cap {cap} exceeds the hard limit of {HARD_CAP} vertices")
+    if cap < 2:
+        raise SizeCapError(f"cap {cap} is below 2, the fewest vertices of a torus")
 
 
 def _check_cap(spec: TorusSpec, cap: int | None) -> None:

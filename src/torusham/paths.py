@@ -127,8 +127,6 @@ def plan(m: int, k: int, u: Vertex, v: Vertex) -> Term | Refusal:
     even m takes sigma_a at every level, its closed-form distance and the
     tau that moves an odd coordinate to the front.
     """
-    if m < 2:
-        raise ValueError(f"cycle length must be >= 2, got {m}")
     if k < 3:
         raise ValueError(
             "k >= 3 required: for k = 2 and odd m only (m+1)/2 of the admissible "

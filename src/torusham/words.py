@@ -7,11 +7,11 @@ cycle length 2 several building blocks degenerate to it).  Symbol labels are
 generator indices, non-negative ints rendered x1..xk.
 
 A certificate is flat: bytes of generator indices (PathCertificate.arcs),
-the exact sequence its trace walked.  Constructions carry arcs as bytes
-(Cycle.arcs) and check them once; their nested text is rendered straight
-from the bytes (text_from_arcs), and their run-length tree only on demand.
-The verifiers take a tree, nested text or flat arcs (bytes, or a checked
-list of ints).  arcs_from_text is the one expander of nested words: it
+the exact sequence its trace walked.  The construction carries arcs as
+bytes and checks them once; their nested text is rendered straight from
+the bytes (text_from_arcs), and their run-length tree only on demand.
+The verifiers take a tree, nested text or flat arcs (bytes, or a list of
+ints _claim checks).  arcs_from_text is the one expander of nested words: it
 parses text straight to bytes and checks each length against the budget
 before every repetition.  A tree's length is checked first by a fold, and
 a tree within budget is expanded through its text.  Tree walks (_fold) run
@@ -104,7 +104,7 @@ def _fold(w: Word, symbol: Callable, concat: Callable, power: Callable):
     return value(w)
 
 
-# flat arcs: bytes, or a list of non-negative ints such as _checked_flat returns
+# flat arcs: bytes, or a list of ints that _claim checks by _checked_flat
 _FLAT = (bytes, list)
 # every byte value, in order: its first k are the generator indices of k cycles
 _BYTE_VALUES = bytes(range(256))
@@ -357,21 +357,18 @@ def _claim(
     A claim whose length is not budget keeps no arcs, except flat arcs
     that fit in bytes.  Otherwise every arc is checked to be a generator
     index of spec, and claim is the tree, the canonical text or None.
-    Flat arcs are converted by one bytes() call, which returns bytes as
-    they are, and range-checked by one translate; only a list with an
-    entry past a byte takes its max.
+    Bytes pass as they are; a list of any length is checked by
+    _checked_flat.  The arcs are range-checked by one translate; only a
+    list with an entry past a byte takes its max.
     """
     if isinstance(w, str):
         n, claim, arcs, top = arcs_from_text(w, budget)
     elif isinstance(w, _FLAT):
         n, claim = len(w), None
-        try:
-            arcs = bytes(w)
-        except ValueError:
-            # the largest entry past a byte is what the range check reports; a negative is refused
-            arcs, top = b"", max(w)
-            if top < 256:
-                raise
+        arcs = w if isinstance(w, bytes) else _checked_flat(w)
+        if isinstance(arcs, list):
+            # an entry past a byte: the largest is what the range check reports
+            arcs, top = b"", max(arcs)
         else:
             # the arcs left once every generator index is deleted
             top = max(arcs.translate(None, _BYTE_VALUES[: spec.k]), default=-1)
@@ -397,9 +394,11 @@ def verify_ham_path(
     (hence all of them) and ends at target.  Trees and text are expanded to
     bytes under the budget vertex_count - 1, a tree only once its length is
     right.  A wrong length, a repeated vertex and a wrong endpoint are
-    reported in the certificate, not raised.  Two faults do raise
-    ValueError: text that does not parse (word_from_text's message), and a
-    word of the right length with an arc of k or more.
+    reported in the certificate, not raised.  ValueError is raised for an
+    endpoint that is no reduced vertex, text that does not parse, a list
+    with an entry that is no non-negative int (a bool, a float, a str or a
+    negative int, named in one message), and a word of the right length
+    with an arc of k or more.
     """
     spec.require_vertex(start)
     spec.require_vertex(target)
@@ -559,7 +558,7 @@ def _checked_flat(arcs: Iterable[int]) -> bytes | list[int]:
     the types and one bytes() conversion.  Only a conversion that fails
     looks for a negative entry.  A list is read as it is, and returned
     itself when an entry is past a byte; any other iterable is copied to
-    one first.  The verifiers take either result as flat arcs.
+    one first.  It is the verifiers' one check of a list, run by _claim.
     """
     if not isinstance(arcs, list):
         arcs = list(arcs)

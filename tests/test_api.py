@@ -72,6 +72,24 @@ def test_public_names_are_pinned():
     ]
 
 
+def test_private_names_imported_across_modules_are_pinned():
+    # (importer, module, name) of each _-prefixed name one module imports from another:
+    # a new private cross-module import shows up as an edit of this set
+    found = set()
+    for path in Path(torusham.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update((path.stem, node.module, a.name) for a in node.names if a.name[0] == "_")
+    assert found == {
+        ("paths", "cycles", "_SHIFT"),
+        ("paths", "cycles", "_any_cycle_distance"),
+        ("paths", "cycles", "_arc_table"),
+        ("paths", "cycles", "_even_distance_levels"),
+        ("paths", "cycles", "_lift_chain"),
+        ("cli", "oracle", "_check_hard_cap"),
+    }
+
+
 def test_a_library_imported_again_frees_the_old_one():
     # nothing outside the package may keep its classes alive once its modules are dropped
     ours = [n for n in sys.modules if n == "torusham" or n.startswith("torusham.")]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -67,6 +68,55 @@ def test_construct_bad_vertex_reports_position():
     got = run("construct", "--m", "3", "--k", "3", "--to", "2,x,0")
     assert got.returncode == 1
     assert "position 2" in got.stderr
+
+
+LONG = "1" * 5000  # more digits than int() reads from text by default
+K_BELOW_3 = (
+    "k >= 3 required: for k = 2 and odd m only (m+1)/2 of the admissible "
+    "endpoints terminate a hamiltonian path; use the oracle for k = 2"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        # tokens that int() refuses: the reader names them, int() does not
+        (["construct", "--m", "3", "--k", "3", "--to=--1,0,0"], "bad vertex component '--1' at position 1"),
+        (["construct", "--m", "3", "--k", "3", "--to=\u00b2,0,0"], "bad vertex component '\u00b2' at position 1"),
+        (["construct", "--m", "3", "--k", "3", f"--to=0,{LONG},0"], f"bad vertex component '{LONG}' at position 2"),
+        (["endpoints", "--moduli", "\u00b2,3"], "bad modulus '\u00b2' at position 1"),
+        # a cap below 2 is refused by endpoints as by scan
+        (["endpoints", "--moduli", "3,3", "--cap", "1"], "cap 1 is below 2, the fewest vertices of a torus"),
+        # a non-ASCII decimal digit is read, as int() reads it: \u0663 is 3
+        (
+            ["construct", "--m", "3", "--k", "3", "--to=\u0663,0,0"],
+            "(3, 0, 0) is not a reduced vertex of TorusSpec(moduli=(3, 3, 3))",
+        ),
+        # the cycle length is checked by TorusSpec, after plan's k >= 3 check
+        (["construct", "--m", "1", "--k", "3", "--to=0,0,0"], "cycle lengths must be >= 2, got 1"),
+        (["construct", "--m", "1", "--k", "2", "--to=0,0"], K_BELOW_3),
+    ],
+    ids=["double-minus", "superscript", "long", "moduli-superscript", "cap-1", "arabic-indic", "m1-k3", "m1-k2"],
+)
+def test_integer_and_cap_errors_are_one_pinned_line(capsys, argv, stderr):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {stderr}\n"
+
+
+def test_integer_reader_takes_decimal_digits_after_at_most_one_sign():
+    # the one reader behind parse_vertex (signed) and parse_moduli (unsigned)
+    assert cli.parse_vertex(" -2 ,\u0663, 0 ") == (-2, 3, 0)
+    assert cli.parse_moduli("3 ,\u0663") == (3, 3)
+    for pos, token in enumerate(("+1", "1_0", "--1", "-", "", "1 2", "0x1", "\u00b2"), start=2):
+        text = ",".join(["0"] * (pos - 1) + [token])
+        with pytest.raises(ValueError, match=f"^bad vertex component {re.escape(repr(token))} at position {pos}$"):
+            cli.parse_vertex(text)
+        with pytest.raises(ValueError, match=f"^bad modulus {re.escape(repr(token))} at position {pos}$"):
+            cli.parse_moduli(text)
+    with pytest.raises(ValueError, match="^bad modulus '-3' at position 1$"):
+        cli.parse_moduli("-3")
 
 
 def test_construct_out_of_range_vertex_names_the_spec(capsys):

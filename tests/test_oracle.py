@@ -113,6 +113,11 @@ def test_size_cap_enforced():
         endpoint_set(TorusSpec((9, 9, 9)), (0, 0, 0))
     with pytest.raises(SizeCapError):
         ham_path_exists(TorusSpec((2, 2)), (0, 0), (1, 1), cap=100)
+    # no torus has fewer than 2 vertices: a cap below 2 is refused, as scan refuses it
+    with pytest.raises(SizeCapError, match="^cap 1 is below 2, the fewest vertices of a torus$"):
+        endpoint_set(TorusSpec((3, 3)), (0, 0), cap=1)
+    with pytest.raises(SizeCapError, match="^cap 1 is below 2"):
+        ham_path_exists(TorusSpec((2, 2)), (0, 0), (1, 1), cap=1)
     # explicit raise up to the hard cap is allowed
     spec = TorusSpec((3, 3, 4))
     assert spec.vertex_count > DEFAULT_CAP

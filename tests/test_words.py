@@ -176,8 +176,33 @@ def test_verify_ham_path_refuses_an_unchecked_negative_arc():
     # a list the caller did not check: a negative entry is refused, not walked as empty
     spec = TorusSpec((2, 2))
     for arcs in ([0, -1, 0], [0, -1], [-1, 300, 0]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^flat form entries must be non-negative ints, got -1$"):
             verify_ham_path(spec, (0, 0), (0, 1), arcs)
+
+
+@pytest.mark.parametrize(
+    "arcs, bad",
+    [
+        ([False, True, False], "False"),
+        ([0, 1.0, 0], "1.0"),
+        ([0, "1", 0], "'1'"),
+        ([0, -1, 0], "-1"),
+        # the first bad entry is named, not the 0 before it
+        ([0, -1], "-1"),
+        # a largest entry of 255 or 256 changes nothing: the negative one is named
+        ([255, -1], "-1"),
+        ([256, -1], "-1"),
+    ],
+    ids=["bool", "float", "str", "negative", "negative-last", "negative-after-255", "negative-after-256"],
+)
+def test_verify_ham_path_names_the_bad_entry_of_a_list(arcs, bad):
+    # the verifier checks a list itself, whatever its length: one message for every bad entry
+    spec = TorusSpec((2, 2))
+    message = f"flat form entries must be non-negative ints, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_ham_path(spec, (0, 0), (0, 1), arcs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_ham_cycle(spec, arcs)
 
 
 def _peak_bytes(f, *args):
