@@ -27,7 +27,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_ints(text: str, what: str, signed: bool) -> tuple[int, ...]:
-    """Comma-separated decimal integers; "-" may lead one if signed, and int() must read it."""
+    """Comma-separated decimal integers; "-" may lead one if signed, and int() must read it.
+
+    The CLI's one integer syntax: its callers parse_vertex, parse_moduli and integer read every
+    vertex, --moduli, integer flag and TORUS_HAM_CAP.
+    """
     values = []
     for pos, part in enumerate(text.split(","), start=1):
         token = part.strip()
@@ -41,15 +45,28 @@ def _read_ints(text: str, what: str, signed: bool) -> tuple[int, ...]:
     return tuple(values)
 
 
-def parse_vertex(text: str, k: int | None = None) -> Vertex:
-    coords = _read_ints(text, "vertex component", signed=True)
-    if k is not None and len(coords) != k:
-        raise ValueError(f"expected {k} coordinates, got {len(coords)}")
-    return coords
+def integer(text: str, what: str = "integer") -> int:
+    """One signed integer: TORUS_HAM_CAP, and each integer flag's type (argparse: "invalid integer value")."""
+    value, *rest = _read_ints(text, what, signed=True)
+    if rest:
+        raise ValueError(f"bad {what} {text!r}: one integer expected")
+    return value
+
+
+def parse_vertex(text: str) -> Vertex:
+    return _read_ints(text, "vertex component", signed=True)
 
 
 def parse_moduli(text: str) -> tuple[int, ...]:
     return _read_ints(text, "modulus", signed=False)
+
+
+def _vertex(value: str | list[int], k: int) -> Vertex:
+    """A start or target of k coordinates: a flag's text, or a record's ints ([] is refused as "" is)."""
+    coords = parse_vertex(value) if isinstance(value, str) else tuple(value) or parse_vertex("")
+    if len(coords) != k:
+        raise ValueError(f"expected {k} coordinates, got {len(coords)}")
+    return coords
 
 
 def certificate_record(cert: PathCertificate) -> dict:
@@ -122,17 +139,6 @@ def _record_ints(payload: dict, key: str) -> list[int]:
     return value
 
 
-def _env_cap() -> int | None:
-    raw = os.environ.get("TORUS_HAM_CAP")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"TORUS_HAM_CAP must be an integer, got {raw!r}") from None
-    return cap
-
-
 def _error(exc: Exception) -> int:
     # a MemoryError usually carries no message
     print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
@@ -141,10 +147,8 @@ def _error(exc: Exception) -> int:
 
 def _emit_dot(cert: PathCertificate, stream) -> None:
     spec = cert.spec
-    path_arcs = set()
     vs = list(trace(spec, cert.start, cert.arcs))
-    for a, b in zip(vs, vs[1:]):
-        path_arcs.add((a, b))
+    path_arcs = set(zip(vs, vs[1:]))
     name = ",".join
     print("digraph torus {", file=stream)
     print('  node [shape=plaintext];', file=stream)
@@ -161,8 +165,8 @@ def cmd_construct(args) -> int:
 
     try:
         # --to first: a --k it does not match fails before anything of size --k is built
-        target = parse_vertex(args.to, args.k)
-        start = (0,) * len(target) if args.from_ is None else parse_vertex(args.from_, args.k)
+        target = _vertex(args.to, args.k)
+        start = (0,) * len(target) if args.from_ is None else _vertex(args.from_, args.k)
         # the cap is checked before anything is built, so it also beats a refusal
         if args.format == "dot" and args.m**args.k > DOT_VERTEX_LIMIT:
             raise ValueError(
@@ -202,7 +206,7 @@ def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | list]:
     if not raw:
         raise ValueError("no word supplied on stdin or via --file")
     moduli = None
-    start_text, target_text = args.from_, args.to
+    start, target = args.from_, args.to
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError:
@@ -212,19 +216,19 @@ def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | list]:
             word = word_from_record(payload.get("word", payload))
             if "moduli" in payload:
                 moduli = tuple(_record_ints(payload, "moduli"))
-            if start_text is None and "from" in payload:
-                start_text = ",".join(map(str, _record_ints(payload, "from")))
-            if target_text is None and "to" in payload:
-                target_text = ",".join(map(str, _record_ints(payload, "to")))
+            if start is None and "from" in payload:
+                start = _record_ints(payload, "from")
+            if target is None and "to" in payload:
+                target = _record_ints(payload, "to")
         else:
             word = word_from_record(payload)
     if args.m is None and moduli is None:
         raise ValueError("need --m and --k (or a JSON record with moduli)")
     spec = TorusSpec(moduli) if args.m is None else TorusSpec.power(args.m, args.k)
-    if target_text is None:
+    if target is None:
         raise ValueError("need --to (or a JSON record with a 'to' entry)")
-    start = spec.zero() if start_text is None else parse_vertex(start_text, spec.k)
-    return spec, start, parse_vertex(target_text, spec.k), word
+    start = spec.zero() if start is None else _vertex(start, spec.k)
+    return spec, start, _vertex(target, spec.k), word
 
 
 def cmd_verify(args) -> int:
@@ -246,7 +250,8 @@ def cmd_endpoints(args) -> int:
 
     try:
         spec = TorusSpec(parse_moduli(args.moduli))
-        cap = args.cap if args.cap is not None else _env_cap()
+        env = os.environ.get("TORUS_HAM_CAP")
+        cap = integer(env, "TORUS_HAM_CAP") if args.cap is None and env is not None else args.cap
         report = endpoint_set(spec, spec.zero(), cap=cap)
     except ValueError as exc:
         return _error(exc)
@@ -283,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", parents=[], help="build a certified hamiltonian path")
-    p.add_argument("--m", type=int, required=True, help="cycle length")
-    p.add_argument("--k", type=int, required=True, help="number of factors (k >= 3)")
+    p.add_argument("--m", type=integer, required=True, help="cycle length")
+    p.add_argument("--k", type=integer, required=True, help="number of factors (k >= 3)")
     p.add_argument("--from", dest="from_", default=None, metavar="V", help="start vertex, default 0")
     p.add_argument("--to", required=True, metavar="V", help="target vertex, e.g. 2,0,0")
     p.add_argument(
@@ -293,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a word against a path claim")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--m", type=integer, default=None)
+    p.add_argument("--k", type=integer, default=None)
     p.add_argument("--from", dest="from_", default=None, metavar="V")
     p.add_argument("--to", default=None, metavar="V")
     p.add_argument("--file", default=None, help="read the word from a file instead of stdin")
@@ -302,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endpoints", help="brute-force endpoint set from 0")
     p.add_argument("--moduli", required=True, help="comma-separated cycle lengths")
-    p.add_argument("--cap", type=int, default=None, help=f"search cap (default {DEFAULT_CAP}, max {HARD_CAP})")
+    p.add_argument("--cap", type=integer, default=None, help=f"search cap (default {DEFAULT_CAP}, max {HARD_CAP})")
     p.set_defaults(func=cmd_endpoints)
 
     p = sub.add_parser("scan", help="endpoint reports over all small specs")
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--max-vertices", type=integer, required=True)
+    p.add_argument("--k", type=integer, default=3)
     p.set_defaults(func=cmd_scan)
 
     return parser

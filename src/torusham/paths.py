@@ -122,10 +122,11 @@ def plan(m: int, k: int, u: Vertex, v: Vertex) -> Term | Refusal:
     """The Term for a path from u to v in (Z_m)^k, or the Refusal.
 
     Pure integer arithmetic on O(k) numbers: it validates the inputs like
-    hamiltonian_path and allocates nothing of size m^k.  Odd m takes the
-    even-distance offsets, and tau is their arc map on the inner generators;
-    even m takes sigma_a at every level, its closed-form distance and the
-    tau that moves an odd coordinate to the front.
+    hamiltonian_path, refuses exactly when TorusSpec.ham_path_congruence_ok
+    (the oracle's prediction) fails, and allocates nothing of size m^k.  Odd
+    m takes the even-distance offsets, and tau is their arc map on the
+    inner generators; even m takes sigma_a at every level, its closed-form
+    distance and the tau that moves an odd coordinate to the front.
     """
     if k < 3:
         raise ValueError(
@@ -135,11 +136,10 @@ def plan(m: int, k: int, u: Vertex, v: Vertex) -> Term | Refusal:
     spec = TorusSpec.power(m, k)
     spec.require_vertex(u)
     spec.require_vertex(v)
+    if not spec.ham_path_congruence_ok(u, v):
+        return Refusal(spec, u, v, spec.directed_distance(u, v) % m, m - 1)
     # translation by u is an automorphism: a word from 0 to v - u runs from u to v
     diff = spec.subtract(v, u)
-    residue = spec.residue_sum(diff, m)
-    if residue != m - 1:
-        return Refusal(spec, u, v, residue, m - 1)
     if m % 2 == 1:
         levels, dist, perm = _even_distance_levels(m, diff[1:])
         tau = (0,) + tuple(p + 1 for p in perm)

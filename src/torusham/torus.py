@@ -161,11 +161,6 @@ class TorusSpec(Record):
         """
         return sum((b - a) % m for a, b, m in zip(u, v, self.moduli))
 
-    def residue_sum(self, v: Vertex, modulus: int) -> int:
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        return sum(v) % modulus
-
     def ham_path_congruence_ok(self, u: Vertex, v: Vertex) -> bool:
         """Necessary condition for a hamiltonian path from u to v.
 
@@ -173,8 +168,7 @@ class TorusSpec(Record):
         cycle lengths, and a hamiltonian path has length vertex_count - 1,
         which is -1 modulo every m_i.  So d(u, v) = -1 (mod gcd) is forced.
         """
-        g = self.moduli_gcd
-        return self.directed_distance(u, v) % g == (g - 1) % g
+        return (self.directed_distance(u, v) + 1) % self.moduli_gcd == 0
 
 
 def transposition(k: int, a: int, b: int) -> Perm:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -77,35 +79,73 @@ K_BELOW_3 = (
 )
 
 
+# every integer flag, with the rest of a command line that runs
+INTEGER_FLAGS = {
+    "construct-m": (["construct", "--k", "3", "--to", "2,0,0"], "--m"),
+    "construct-k": (["construct", "--m", "3", "--to", "2,0,0"], "--k"),
+    "verify-m": (["verify", "--k", "3"], "--m"),
+    "verify-k": (["verify", "--m", "3"], "--k"),
+    "endpoints-cap": (["endpoints", "--moduli", "3,3"], "--cap"),
+    "scan-max-vertices": (["scan", "--k", "3"], "--max-vertices"),
+    "scan-k": (["scan", "--max-vertices", "8"], "--k"),
+}
+# tokens int() reads and the one reader refuses, and a token with a comma
+NOT_ONE_INTEGER = {"plus": "+3", "underscore": "1_0", "comma": "3,4"}
+ENDPOINTS = ["endpoints", "--moduli", "3,3"]
+CUBE = ["construct", "--m", "3", "--k", "3"]
+
+
 @pytest.mark.parametrize(
-    "argv, stderr",
+    "env, argv, stderr",
     [
         # tokens that int() refuses: the reader names them, int() does not
-        (["construct", "--m", "3", "--k", "3", "--to=--1,0,0"], "bad vertex component '--1' at position 1"),
-        (["construct", "--m", "3", "--k", "3", "--to=\u00b2,0,0"], "bad vertex component '\u00b2' at position 1"),
-        (["construct", "--m", "3", "--k", "3", f"--to=0,{LONG},0"], f"bad vertex component '{LONG}' at position 2"),
-        (["endpoints", "--moduli", "\u00b2,3"], "bad modulus '\u00b2' at position 1"),
+        (None, CUBE + ["--to=--1,0,0"], "error: bad vertex component '--1' at position 1"),
+        (None, CUBE + ["--to=\u00b2,0,0"], "error: bad vertex component '\u00b2' at position 1"),
+        (None, CUBE + [f"--to=0,{LONG},0"], f"error: bad vertex component '{LONG}' at position 2"),
+        (None, ["endpoints", "--moduli", "\u00b2,3"], "error: bad modulus '\u00b2' at position 1"),
         # a cap below 2 is refused by endpoints as by scan
-        (["endpoints", "--moduli", "3,3", "--cap", "1"], "cap 1 is below 2, the fewest vertices of a torus"),
+        (None, ENDPOINTS + ["--cap", "1"], "error: cap 1 is below 2, the fewest vertices of a torus"),
+        (None, ENDPOINTS + ["--cap", "-5"], "error: cap -5 is below 2, the fewest vertices of a torus"),
         # a non-ASCII decimal digit is read, as int() reads it: \u0663 is 3
-        (
-            ["construct", "--m", "3", "--k", "3", "--to=\u0663,0,0"],
-            "(3, 0, 0) is not a reduced vertex of TorusSpec(moduli=(3, 3, 3))",
-        ),
+        (None, CUBE + ["--to=\u0663,0,0"], "error: (3, 0, 0) is not a reduced vertex of TorusSpec(moduli=(3, 3, 3))"),
         # the cycle length is checked by TorusSpec, after plan's k >= 3 check
-        (["construct", "--m", "1", "--k", "3", "--to=0,0,0"], "cycle lengths must be >= 2, got 1"),
-        (["construct", "--m", "1", "--k", "2", "--to=0,0"], K_BELOW_3),
+        (None, ["construct", "--m", "1", "--k", "3", "--to=0,0,0"], "error: cycle lengths must be >= 2, got 1"),
+        (None, ["construct", "--m", "-1", "--k", "3", "--to=0,0,0"], "error: cycle lengths must be >= 2, got -1"),
+        (None, ["construct", "--m", "1", "--k", "2", "--to=0,0"], f"error: {K_BELOW_3}"),
+        # an integer flag reads one integer: argparse's usage error names the flag and the token
+        *(
+            (None, rest + [flag, token], f"torusham {rest[0]}: error: argument {flag}: invalid integer value: {token!r}")
+            for rest, flag in INTEGER_FLAGS.values()
+            for token in NOT_ONE_INTEGER.values()
+        ),
+        # TORUS_HAM_CAP reads one integer, when --cap is not given
+        ({"TORUS_HAM_CAP": "+3"}, ENDPOINTS, "error: bad TORUS_HAM_CAP '+3' at position 1"),
+        ({"TORUS_HAM_CAP": "1_0"}, ENDPOINTS, "error: bad TORUS_HAM_CAP '1_0' at position 1"),
+        ({"TORUS_HAM_CAP": "3,4"}, ENDPOINTS, "error: bad TORUS_HAM_CAP '3,4': one integer expected"),
     ],
-    ids=["double-minus", "superscript", "long", "moduli-superscript", "cap-1", "arabic-indic", "m1-k3", "m1-k2"],
+    ids=[
+        "double-minus", "superscript", "long", "moduli-superscript", "cap-1", "cap-minus-5", "arabic-indic",
+        "m1-k3", "m-minus-1-k3", "m1-k2",
+        *(f"{name}-{what}" for name in INTEGER_FLAGS for what in NOT_ONE_INTEGER),
+        *(f"env-cap-{what}" for what in NOT_ONE_INTEGER),
+    ],
 )
-def test_integer_and_cap_errors_are_one_pinned_line(capsys, argv, stderr):
-    assert cli.main(argv) == 1
+def test_integer_and_cap_errors_are_one_pinned_line(monkeypatch, capsys, env, argv, stderr):
+    monkeypatch.delenv("TORUS_HAM_CAP", raising=False)
+    for name, value in (env or {}).items():
+        monkeypatch.setenv(name, value)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors: the usage, then the error line
+        code = exc.code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {stderr}\n"
+    assert code == 1 and captured.out == ""
+    usage, _, line = captured.err[:-1].rpartition("\n")
+    assert line == stderr and captured.err[-1] == "\n"
+    assert usage == "" if line.startswith("error: ") else usage.startswith(f"usage: torusham {argv[0]} ")
 
 
-def test_integer_reader_takes_decimal_digits_after_at_most_one_sign():
+def test_integer_reader_takes_decimal_digits_after_at_most_one_sign(capsys):
     # the one reader behind parse_vertex (signed) and parse_moduli (unsigned)
     assert cli.parse_vertex(" -2 ,\u0663, 0 ") == (-2, 3, 0)
     assert cli.parse_moduli("3 ,\u0663") == (3, 3)
@@ -117,6 +157,38 @@ def test_integer_reader_takes_decimal_digits_after_at_most_one_sign():
             cli.parse_moduli(text)
     with pytest.raises(ValueError, match="^bad modulus '-3' at position 1$"):
         cli.parse_moduli("-3")
+    # the one-integer form of the integer flags and TORUS_HAM_CAP
+    assert cli.integer(" -2 ") == -2 and cli.integer("\u0663") == 3
+    for token in ("+1", "1_0", "--1", "-", "", "1 2", "0x1", "\u00b2"):
+        with pytest.raises(ValueError, match=f"^bad integer {re.escape(repr(token))} at position 1$"):
+            cli.integer(token)
+    with pytest.raises(ValueError, match="^bad integer '3,4': one integer expected$"):
+        cli.integer("3,4")
+    with pytest.raises(ValueError, match="^bad integer 'x' at position 2$"):
+        cli.integer("3,x")
+    # so --m \u0663 builds at m = 3, as int() read it
+    assert cli.main(["construct", "--m", "\u0663", "--k", "3", "--to", "2,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["moduli"] == [3, 3, 3]
+
+
+def test_only_the_reader_calls_int():
+    # the one integer syntax: int() is called in _read_ints alone, and every typed flag is an integer
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    }
+    assert callers == {"_read_ints"}
+    types = [
+        ast.unparse(kw.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for kw in node.keywords
+        if kw.arg == "type"
+    ]
+    assert types == ["integer"] * 7
 
 
 def test_construct_out_of_range_vertex_names_the_spec(capsys):

@@ -256,6 +256,8 @@ def test_hamiltonian_path_dispatch_and_translation():
     got = hamiltonian_path(3, 3, (0, 0, 0), (1, 0, 0))
     assert isinstance(got, Refusal)
     assert "mod 3" in got.message.replace("(", "").replace(")", "")
+    # every path has length 1 (mod 3), and a hamiltonian path 26 = 2 (mod 3)
+    assert (got.residue, got.required) == (1, 2)
     cert = hamiltonian_path(2, 4, (0, 0, 0, 0), (1, 0, 0, 0))
     assert cert.verified and cert.length == 15
 
