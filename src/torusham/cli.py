@@ -147,8 +147,10 @@ def _error(exc: Exception) -> int:
 
 def _emit_dot(cert: PathCertificate, stream) -> None:
     spec = cert.spec
+    path_arcs = set()
     vs = list(trace(spec, cert.start, cert.arcs))
-    path_arcs = set(zip(vs, vs[1:]))
+    for a, b in zip(vs, vs[1:]):
+        path_arcs.add((a, b))
     name = ",".join
     print("digraph torus {", file=stream)
     print('  node [shape=plaintext];', file=stream)

@@ -168,7 +168,8 @@ class TorusSpec(Record):
         cycle lengths, and a hamiltonian path has length vertex_count - 1,
         which is -1 modulo every m_i.  So d(u, v) = -1 (mod gcd) is forced.
         """
-        return (self.directed_distance(u, v) + 1) % self.moduli_gcd == 0
+        g = self.moduli_gcd
+        return self.directed_distance(u, v) % g == (g - 1) % g
 
 
 def transposition(k: int, a: int, b: int) -> Perm:

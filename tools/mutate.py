@@ -1,7 +1,7 @@
 """Mutation check: does a pytest subset kill small changes to named functions?
 
     python tools/mutate.py cli._read_ints paths.plan torus.TorusSpec.directed_distance \
-        --tests tests/test_torus.py tests/test_cli.py [--timeout 180] [--list]
+        --tests tests/test_torus.py tests/test_cli.py
 
 Functions are named as module.qualname inside the torusham package.  Each
 mutant changes one site of one function:
@@ -11,7 +11,8 @@ mutant changes one site of one function:
 - one statement replaced by pass.
 src/, tests/ and pyproject.toml are copied to a temporary directory, never
 touched in the checkout.  Each mutant rewrites its module there and runs one
-`pytest -x -q` subprocess over the tests; a failure or a timeout kills it.
+`pytest -x -q` subprocess over the tests; a failure or a run over TIMEOUT
+seconds kills it.
 Mutants listed in tools/equivalent_mutants.txt ("<id> # <reason>") cannot
 change behaviour and are counted apart.  The exit status is 1 when a mutant
 survives that the list does not explain.
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EQUIVALENT = Path(__file__).resolve().parent / "equivalent_mutants.txt"
+TIMEOUT = 180.0  # seconds per mutant
 FLIPS = {ast.Eq: ast.NotEq, ast.Lt: ast.LtE, ast.Gt: ast.GtE, ast.Is: ast.IsNot, ast.In: ast.NotIn}
 FLIPS.update({new: old for old, new in FLIPS.items()})
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult}
@@ -84,7 +86,7 @@ def mutants(source: str, module: str, qualname: str):
         yield f"{module}.{qualname}+{line}:{col} {what}", "".join(lines[:start]) + body + "".join(lines[fn.end_lineno :])
 
 
-def run_tests(work: Path, tests: list[str], timeout: float) -> bool:
+def run_tests(work: Path, tests: list[str]) -> bool:
     """True when the tests pass in the work tree; a timeout counts as a failure."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(work / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -92,7 +94,7 @@ def run_tests(work: Path, tests: list[str], timeout: float) -> bool:
         cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
     )
     try:
-        return child.wait(timeout) == 0
+        return child.wait(TIMEOUT) == 0
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)  # pytest and the CLI processes its tests started
         child.wait()
@@ -103,8 +105,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("functions", nargs="+", help="module.qualname, e.g. paths.plan")
     parser.add_argument("--tests", nargs="+", required=True, help="test files, relative to the repo root")
-    parser.add_argument("--timeout", type=float, default=180.0, help="seconds per mutant")
-    parser.add_argument("--list", action="store_true", help="print the mutant ids and run nothing")
     args = parser.parse_args(argv)
     lines = EQUIVALENT.read_text().splitlines()
     known = {line.partition(" # ")[0].strip() for line in lines if line.strip() and not line.startswith("#")}
@@ -118,17 +118,14 @@ def main(argv=None) -> int:
             module, _, qualname = name.partition(".")
             path = work / "src" / "torusham" / f"{module}.py"
             todo += [(path, *m) for m in mutants(path.read_text(), module, qualname)]
-        if args.list:
-            print("\n".join(mutant for _, mutant, _ in todo))
-            return 0
-        if not run_tests(work, args.tests, args.timeout):
+        if not run_tests(work, args.tests):
             sys.exit("the tests fail without a mutant")
         counts = {"killed": 0, "equivalent": 0, "survived": 0}
         for path, mutant, text in todo:
             original = path.read_text()
             path.write_text(text)
             try:
-                killed = not run_tests(work, args.tests, args.timeout)
+                killed = not run_tests(work, args.tests)
             finally:
                 path.write_text(original)
             verdict = "killed" if killed else "equivalent" if mutant in known else "survived"
