@@ -18,13 +18,10 @@ from .words import (
     Power,
     Symbol,
     Word,
-    flat_length,
     trace,
     verify_ham_cycle,
     verify_ham_path,
-    word_from_flat,
     word_from_text,
-    word_to_text,
 )
 
 
@@ -58,7 +55,6 @@ __all__ = [
     "Word",
     "endpoint_set",
     "enumerate_torus_specs",
-    "flat_length",
     "ham_cycle_exists_2d",
     "ham_cycle_witness",
     "ham_path_exists",
@@ -68,7 +64,5 @@ __all__ = [
     "transposition",
     "verify_ham_cycle",
     "verify_ham_path",
-    "word_from_flat",
     "word_from_text",
-    "word_to_text",
 ]

@@ -62,8 +62,8 @@ def parse_moduli(text: str) -> tuple[int, ...]:
 
 
 def _vertex(value: str | list[int], k: int) -> Vertex:
-    """A start or target of k coordinates: a flag's text, or a record's ints ([] is refused as "" is)."""
-    coords = parse_vertex(value) if isinstance(value, str) else tuple(value) or parse_vertex("")
+    """A start or target of k coordinates: a flag's text, or a record's ints."""
+    coords = parse_vertex(value) if isinstance(value, str) else tuple(value)
     if len(coords) != k:
         raise ValueError(f"expected {k} coordinates, got {len(coords)}")
     return coords

@@ -10,15 +10,14 @@ A certificate is flat: bytes of generator indices (PathCertificate.arcs),
 the exact sequence its trace walked.  The construction carries arcs as
 bytes and checks them once; their nested text is rendered straight from
 the bytes (text_from_arcs), and their run-length tree only on demand.
-The verifiers take a tree, nested text or flat arcs (bytes, or a list of
-ints _claim checks).  arcs_from_text is the one expander of nested words: it
-parses text straight to bytes and checks each length against the budget
-before every repetition.  A tree's length is checked first by a fold, and
-a tree within budget is expanded through its text.  Tree walks (_fold) run
-C-level loops over each Concat's parts and one Python call per distinct
-part; the text parsers never recurse, and the bytes parser loops in Python
-once per parenthesis and distinct leaf token.  The tree, word_from_text
-and word_to_text remain as the reference the tests hold the flat codec to.
+Trees are output only: the verifiers take nested text or flat arcs (bytes,
+or a list of ints word_from_flat checks), and raise TypeError for anything
+else.  arcs_from_text is the one expander of nested words: it parses text
+straight to bytes and checks each length against the budget before every
+repetition.  The text parsers never recurse, and the bytes parser loops in
+Python once per parenthesis and distinct leaf token.  The tree reader
+word_from_text and the run-length encoder word_from_runs remain for
+PathCertificate.word and as the reference the tests hold the codec to.
 
 Verification is exact: a visited set sized to the vertex count, no
 probabilistic shortcuts.  The one walk (_walk) marks arcs slice by slice
@@ -37,9 +36,8 @@ boring and thorough.
 from __future__ import annotations
 
 import math
-import operator
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache, reduce
 
 from .torus import Record, TorusSpec, Vertex
@@ -75,44 +73,10 @@ class Power(Record):
 Word = Symbol | Concat | Power
 
 
-def _fold(w: Word, symbol: Callable, concat: Callable, power: Callable):
-    """Evaluate a tree bottom-up.
-
-    symbol(label) gives a leaf's value, concat(values) a Concat's from its
-    parts' values, power(value, exponent) a Power's.  Each Concat evaluates
-    its distinct parts once, memoised by id in a dict of its own, so a
-    Concat of a million shared leaves costs C-level loops over its parts
-    and one Python call per distinct part.  The dict is dropped as soon as
-    the Concat's value is built, so a deep tree holds the values of one
-    path of levels at a time, not every level's.
-    """
-
-    def value(node: Word):
-        if isinstance(node, Symbol):
-            return symbol(node.label)
-        if isinstance(node, Concat):
-            parts = node.parts
-            ids = list(map(id, parts))
-            values = {}
-            for key, part in dict(zip(ids, parts)).items():
-                values[key] = value(part)
-            return concat(map(values.__getitem__, ids))
-        if isinstance(node, Power):
-            return power(value(node.base), node.exponent)
-        raise TypeError(f"not a word: {node!r}")
-
-    return value(w)
-
-
-# flat arcs: bytes, or a list of ints that _claim checks by _checked_flat
+# flat arcs: bytes, or a list of ints that _claim checks by word_from_flat
 _FLAT = (bytes, list)
 # every byte value, in order: its first k are the generator indices of k cycles
 _BYTE_VALUES = bytes(range(256))
-
-
-def flat_length(w: Word) -> int:
-    """Length of the fully expanded word, computed without expanding."""
-    return _fold(w, lambda g: 1, sum, operator.mul)
 
 
 def trace(spec: TorusSpec, start: Vertex, arcs: bytes | list[int]) -> Iterator[Vertex]:
@@ -267,12 +231,11 @@ class PathCertificate(Record):
     """An endpoint-checked hamiltonian path claim.
 
     `arcs` holds the generator indices the trace walked: it is the
-    certificate.  `claim` is what the claim was read from: a tree, the
-    canonical text of nested text, or None for flat arcs and for a
-    construction, whose `runs` names the generator its rendering writes in
-    runs.  A tree or text refused by its length is never expanded, and its
-    `arcs` stay empty, as do those of refused flat arcs with an entry past
-    a byte.
+    certificate.  `claim` is the canonical text of a claim read from nested
+    text, or None for flat arcs and for a construction, whose `runs` names
+    the generator its rendering writes in runs.  Text refused by its length
+    is never expanded, and its `arcs` stay empty, as do those of refused
+    flat arcs with an entry past a byte.
 
     When `verified` is false, `failure` says what went wrong and, for
     repeats and endpoint mismatches, `failure_position`/`failure_vertex`
@@ -283,7 +246,7 @@ class PathCertificate(Record):
     start: Vertex
     target: Vertex
     arcs: bytes
-    claim: Word | str | None
+    claim: str | None
     verified: bool
     failure: str | None = None
     failure_position: int | None = None
@@ -296,22 +259,13 @@ class PathCertificate(Record):
 
     @cached_property
     def word(self) -> Word | None:
-        """The claim's tree, or a construction's run-length tree built on first access.
-
-        None for a claim given as text or flat arcs.
-        """
-        if self.runs is not None:
-            return word_from_runs(self.arcs, self.runs)
-        return None if isinstance(self.claim, str) else self.claim
+        """A construction's run-length tree, built on first access; None for a claim."""
+        return None if self.runs is None else word_from_runs(self.arcs, self.runs)
 
     @property
     def text(self) -> str:
-        """The nested text: a text claim's canonical text, a tree's rendering, else the arcs'."""
-        if isinstance(self.claim, str):
-            return self.claim
-        if self.claim is not None:
-            return word_to_text(self.claim)
-        return text_from_arcs(self.arcs, self.runs)
+        """The nested text: a text claim's canonical text, else the arcs'."""
+        return text_from_arcs(self.arcs, self.runs) if self.claim is None else self.claim
 
     def text_slices(self) -> Iterator[str]:
         """The pieces of `text`, in order: the arcs' text rendered slice by slice, else the whole text."""
@@ -341,31 +295,28 @@ class Cycle(Record):
 
 class CycleRejection(Record):
     spec: TorusSpec
-    word: Word | str | bytes | list[int]
+    word: str | bytes | list[int]
     reason: str
     position: int | None = None
     vertex: Vertex | None = None
 
 
-def _claim(
-    spec: TorusSpec, w: Word | str | bytes | list[int], budget: int
-) -> tuple[int, Word | str | None, bytes]:
-    """(length, claim, arcs) of a word tree, nested text or flat arcs.
+def _claim(spec: TorusSpec, w: str | bytes | list[int], budget: int) -> tuple[int, str | None, bytes]:
+    """(length, claim, arcs) of nested text or flat arcs; TypeError for anything else.
 
-    arcs_from_text is the one expander: text is parsed under budget, and a
-    tree is checked by its length first, then expanded through its text.
-    A claim whose length is not budget keeps no arcs, except flat arcs
-    that fit in bytes.  Otherwise every arc is checked to be a generator
-    index of spec, and claim is the tree, the canonical text or None.
-    Bytes pass as they are; a list of any length is checked by
-    _checked_flat.  The arcs are range-checked by one translate; only a
-    list with an entry past a byte takes its max.
+    arcs_from_text is the one expander: text is parsed under budget.  A
+    claim whose length is not budget keeps no arcs, except flat arcs that
+    fit in bytes.  Otherwise every arc is checked to be a generator index
+    of spec, and claim is the canonical text or None.  Bytes pass as they
+    are; a list of any length is checked by word_from_flat.  The arcs are
+    range-checked by one translate; only a list with an entry past a byte
+    takes its max.
     """
     if isinstance(w, str):
         n, claim, arcs, top = arcs_from_text(w, budget)
     elif isinstance(w, _FLAT):
         n, claim = len(w), None
-        arcs = w if isinstance(w, bytes) else _checked_flat(w)
+        arcs = w if isinstance(w, bytes) else word_from_flat(w)
         if isinstance(arcs, list):
             # an entry past a byte: the largest is what the range check reports
             arcs, top = b"", max(arcs)
@@ -373,11 +324,9 @@ def _claim(
             # the arcs left once every generator index is deleted
             top = max(arcs.translate(None, _BYTE_VALUES[: spec.k]), default=-1)
     else:
-        n, claim, arcs, top = flat_length(w), w, None, -1
-        if n == budget:
-            arcs, top = arcs_from_text(word_to_text(w), budget)[2:]
+        raise TypeError(f"a claim is nested text, bytes or a list of ints, not {type(w).__name__}")
     if n != budget:
-        # refused flat arcs are kept when they fit in bytes; refused text or trees keep none
+        # refused flat arcs are kept when they fit in bytes; refused text keeps none
         return n, claim, arcs if isinstance(w, _FLAT) else b""
     if top >= spec.k:
         raise ValueError(f"arc {top} is not a generator index in [0, {spec.k})")
@@ -385,20 +334,20 @@ def _claim(
 
 
 def verify_ham_path(
-    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | str | bytes | list[int]
+    spec: TorusSpec, start: Vertex, target: Vertex, w: str | bytes | list[int]
 ) -> PathCertificate:
-    """Check that a word tree, nested text or flat arcs trace a hamiltonian path.
+    """Check that nested text or flat arcs trace a hamiltonian path.
 
     Flat arcs are bytes, or a list of non-negative ints.
     Accepts exactly the words whose trace has vertex_count distinct vertices
-    (hence all of them) and ends at target.  Trees and text are expanded to
-    bytes under the budget vertex_count - 1, a tree only once its length is
-    right.  A wrong length, a repeated vertex and a wrong endpoint are
-    reported in the certificate, not raised.  ValueError is raised for an
-    endpoint that is no reduced vertex, text that does not parse, a list
-    with an entry that is no non-negative int (a bool, a float, a str or a
-    negative int, named in one message), and a word of the right length
-    with an arc of k or more.
+    (hence all of them) and ends at target.  Text is expanded to bytes
+    under the budget vertex_count - 1.  A wrong length, a repeated vertex
+    and a wrong endpoint are reported in the certificate, not raised.
+    ValueError is raised for an endpoint that is no reduced vertex, text
+    that does not parse, a list with an entry that is no non-negative int
+    (a bool, a float, a str or a negative int, named in one message), and
+    a word of the right length with an arc of k or more; TypeError for a
+    claim that is neither text nor flat arcs, a tree included.
     """
     spec.require_vertex(start)
     spec.require_vertex(target)
@@ -428,15 +377,16 @@ def verify_ham_path(
 
 
 def verify_ham_cycle(
-    spec: TorusSpec, w: Word | str | bytes | list[int]
+    spec: TorusSpec, w: str | bytes | list[int]
 ) -> Cycle | CycleRejection:
-    """Check that a word tree, nested text or flat arcs trace a hamiltonian cycle based at 0.
+    """Check that nested text or flat arcs trace a hamiltonian cycle based at 0.
 
     Accepts exactly the words of length vertex_count whose trace visits
-    every vertex once and returns to 0; trees and text are expanded under
-    that budget.  Rejections are reported, not raised; as in
-    verify_ham_path, text that does not parse and a word of the right
-    length with an arc of k or more raise ValueError.
+    every vertex once and returns to 0; text is expanded under that
+    budget.  Rejections are reported, not raised; as in verify_ham_path,
+    text that does not parse and a word of the right length with an arc of
+    k or more raise ValueError, and any other claim, a tree included,
+    TypeError.
     """
     count = spec.vertex_count
     n, _, arcs = _claim(spec, w, count)
@@ -455,7 +405,7 @@ def verify_ham_cycle(
 
 
 def expect_path(
-    spec: TorusSpec, start: Vertex, target: Vertex, w: Word | bytes | list[int]
+    spec: TorusSpec, start: Vertex, target: Vertex, w: str | bytes | list[int]
 ) -> PathCertificate:
     cert = verify_ham_path(spec, start, target, w)
     if not cert.verified:
@@ -469,12 +419,11 @@ def expect_path(
 #
 # Nested text form, e.g. ((x1^1 x2^2)^1 (x1^1 x2 x1)^6 (x1^1 x2^2)^1 x1^1 x2).
 # Generator indices render as x1..xk; any other letter token is an error.
-# The flat JSON form is just a list of generator indices.  Both forms
-# round-trip through the Word tree exactly.  word_from_text and
-# arcs_from_text both split the text on groups, keep an explicit stack of
-# open groups and read leaf tokens with _leaf; word_from_text builds the
-# tree, arcs_from_text goes straight to bytes, and text_from_arcs renders
-# bytes back.
+# The flat JSON form is just a list of generator indices, read by
+# word_from_flat.  word_from_text and arcs_from_text both split the text on
+# groups, keep an explicit stack of open groups and read leaf tokens with
+# _leaf; word_from_text builds the tree, arcs_from_text goes straight to
+# bytes, and text_from_arcs renders bytes back.
 
 # One token per generator with its exponent chain (x3^2, x1 ^ 2^3), per
 # group exponent, per other letter or digit run, and per bracket or bare ^.
@@ -498,15 +447,6 @@ _HEAD = 256
 _RUNS = 6
 # the text of each byte as a lone symbol, after the space that separates it from the token before
 _NAMES = tuple(f" x{g + 1}" for g in range(256))
-
-
-def word_to_text(w: Word) -> str:
-    return _fold(
-        w,
-        lambda g: f"x{g + 1}",
-        lambda texts: "(" + " ".join(texts) + ")",
-        lambda text, e: f"{text}^{e}",
-    )
 
 
 def word_from_text(text: str) -> Word:
@@ -551,14 +491,15 @@ def word_from_text(text: str) -> Word:
     return Concat(tuple(items))
 
 
-def _checked_flat(arcs: Iterable[int]) -> bytes | list[int]:
+def word_from_flat(arcs: Iterable[int]) -> bytes | list[int]:
     """The flat form as bytes, or as a list when an entry is past a byte.
 
     Every entry is checked to be a non-negative int, in C passes: one over
     the types and one bytes() conversion.  Only a conversion that fails
     looks for a negative entry.  A list is read as it is, and returned
-    itself when an entry is past a byte; any other iterable is copied to
-    one first.  It is the verifiers' one check of a list, run by _claim.
+    itself when an entry is past a byte, for the verifiers' range check
+    to name; any other iterable is copied to one first.  It is the
+    verifiers' one check of a list, run by _claim.
     """
     if not isinstance(arcs, list):
         arcs = list(arcs)
@@ -572,13 +513,6 @@ def _checked_flat(arcs: Iterable[int]) -> bytes | list[int]:
                 return arcs
     bad = next(g for g in arcs if type(g) is not int or g < 0)
     raise ValueError(f"flat form entries must be non-negative ints, got {bad!r}")
-
-
-def word_from_flat(arcs: Iterable[int]) -> Concat:
-    """Concat of one Symbol per arc; equal arcs share one node."""
-    arcs = _checked_flat(arcs)
-    nodes = {g: Symbol(g) for g in set(arcs)}
-    return Concat(tuple(map(nodes.__getitem__, arcs)))
 
 
 def word_from_runs(arcs: bytes, g: int) -> Concat:
@@ -595,9 +529,9 @@ def word_from_runs(arcs: bytes, g: int) -> Concat:
 def text_from_arcs(arcs: bytes, g: int | None = None) -> str:
     """Nested text of flat arcs, each maximal run of generator g written as a power.
 
-    Equals word_to_text(word_from_runs(arcs, g)), and for g None
-    word_to_text(word_from_flat(arcs)), without building the tree: the
-    pieces of _text_slices, joined.
+    It is the canonical text of word_from_runs(arcs, g), as arcs_from_text
+    gives it, and for g None of one symbol per arc, without building a
+    tree: the pieces of _text_slices, joined.
     """
     return "".join(_text_slices(arcs, g))
 
@@ -692,7 +626,9 @@ def arcs_from_text(text: str, budget: int) -> tuple[int, str, bytes | None, int]
     """Parse the nested text form straight to arcs, never building a tree.
 
     Returns (length, canonical text, arcs, top): the expanded length as an
-    exact integer; the text word_to_text prints for word_from_text(text);
+    exact integer; the canonical text, in which each leaf is written
+    x<label + 1> with its exponents, each group in parentheses, items one
+    space apart, and the whole in parentheses unless it is one item;
     the arcs as bytes, or None when the length exceeds budget; and the
     largest label in the expansion, or -1 for none.  Labels past a byte
     are held as 255 in the arcs, so top is what reports them.  Raises

@@ -1,5 +1,8 @@
 """Shared hypothesis strategies, the reference expansion, walk and cycle distance,
-the prism path reference, and the cycles the construction's helpers build."""
+the recursive text references, the prism path reference, and the cycles the
+construction's helpers build."""
+
+import re
 
 import hypothesis.strategies as st
 
@@ -16,6 +19,72 @@ def expand(w) -> list[int]:
     if isinstance(w, Power):
         return expand(w.base) * w.exponent
     raise TypeError(f"not a word: {w!r}")
+
+
+# The recursive-descent parser and the recursive renderer that the flat codec replaced.
+_REF_TOKEN_RE = re.compile(r"\(|\)|\^|\d+|[A-Za-z][A-Za-z0-9]*")
+_REF_GEN_RE = re.compile(r"x[0-9]+\Z")
+
+
+def reference_word_to_text(w):
+    def item(node):
+        if isinstance(node, Symbol):
+            return f"x{node.label + 1}"
+        if isinstance(node, Concat):
+            return "(" + " ".join(item(p) for p in node.parts) + ")"
+        if isinstance(node, Power):
+            return f"{item(node.base)}^{node.exponent}"
+        raise TypeError(f"not a word: {node!r}")
+
+    return item(w)
+
+
+def reference_word_from_text(text):
+    tokens = _REF_TOKEN_RE.findall(text)
+    if "".join(tokens) != re.sub(r"\s+", "", text):
+        raise ValueError("unrecognized characters in word text")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def parse_item():
+        nonlocal pos
+        tok = peek()
+        if tok == "(":
+            pos += 1
+            parts = []
+            while peek() not in (")", None):
+                parts.append(parse_item())
+            if peek() != ")":
+                raise ValueError("unbalanced parenthesis in word text")
+            pos += 1
+            node = Concat(tuple(parts))
+        elif tok is not None and _REF_GEN_RE.match(tok):
+            pos += 1
+            index = int(tok[1:])
+            if index < 1:
+                raise ValueError(f"generator token {tok!r} must be x1 or higher")
+            node = Symbol(index - 1)
+        else:
+            raise ValueError(f"unexpected token {tok!r} in word text")
+        while peek() == "^":
+            pos += 1
+            exp = peek()
+            if exp is None or not exp.isdigit():
+                raise ValueError("exponent must be a non-negative integer")
+            pos += 1
+            node = Power(node, int(exp))
+        return node
+
+    items = []
+    while peek() is not None:
+        if peek() == ")":
+            raise ValueError("unbalanced parenthesis in word text")
+        items.append(parse_item())
+    if len(items) == 1:
+        return items[0]
+    return Concat(tuple(items))
 
 
 def walk_reference(spec, start, arcs, marked=()):

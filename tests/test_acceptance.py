@@ -13,7 +13,6 @@ from torusham import (
     TorusSpec,
     endpoint_set,
     enumerate_torus_specs,
-    flat_length,
     ham_cycle_exists_2d,
     ham_cycle_witness,
     hamiltonian_path,
@@ -23,7 +22,16 @@ from torusham import (
     Symbol,
 )
 
-from conftest import cycle_distance, even_distance_cycle, expand, prism_path_arcs, staircase
+from torusham.words import arcs_from_text
+
+from conftest import (
+    cycle_distance,
+    even_distance_cycle,
+    expand,
+    prism_path_arcs,
+    reference_word_to_text,
+    staircase,
+)
 
 def _verdict(name, ok, detail=""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}" + (f" | {detail}" if detail else ""))
@@ -214,7 +222,8 @@ def test_criterion_8_word_algebra_bulk_properties():
     for _ in range(10_000):
         w = _random_word(rng)
         flat = expand(w)
-        assert flat_length(w) == len(flat)
+        # the bytes codec expands the reference text of the tree to the same arcs
+        assert arcs_from_text(reference_word_to_text(w), len(flat))[::2] == (len(flat), bytes(flat))
         last = start
         for last in trace(spec, start, flat):
             pass

@@ -56,7 +56,6 @@ def test_public_names_are_pinned():
         "Word",
         "endpoint_set",
         "enumerate_torus_specs",
-        "flat_length",
         "ham_cycle_exists_2d",
         "ham_cycle_witness",
         "ham_path_exists",
@@ -66,9 +65,7 @@ def test_public_names_are_pinned():
         "transposition",
         "verify_ham_cycle",
         "verify_ham_path",
-        "word_from_flat",
         "word_from_text",
-        "word_to_text",
     ]
 
 

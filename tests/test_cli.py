@@ -470,16 +470,24 @@ def test_huge_k_is_answered_before_allocating(monkeypatch, capsys, argv, code):
     assert peak < 1 << 20
 
 
-def test_empty_start_is_an_error(monkeypatch, capsys):
+def test_empty_start_is_an_error(capsys):
     # an empty start is no vertex, not the zero vertex: like an empty target it is refused
+    assert cli.main(["construct", "--m", "3", "--k", "3", "--from", "", "--to", "2,0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad vertex component '' at position 1\n"
+
+
+@pytest.mark.parametrize("key", ["from", "to"])
+def test_empty_vertex_of_a_record_is_an_error(monkeypatch, capsys, key):
+    # a record's [] has no text token to name: it is refused by its coordinate count
     record = json.loads(CUBE_RECORD)
-    record["from"] = []
+    record[key] = []
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(record)))
-    for argv in (["construct", "--m", "3", "--k", "3", "--from", "", "--to", "2,0,0"], ["verify"]):
-        assert cli.main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: bad vertex component '' at position 1\n"
+    assert cli.main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected 3 coordinates, got 0\n"
 
 
 # verify fuzzing: specs stay small or overflow, so no input can ask for a huge expansion
@@ -669,7 +677,7 @@ def test_cli_path_builds_no_tree(monkeypatch, capsys, m, k, u, v, digest):
 
     reference = words.word_from_runs
     for mod in (words, paths, cli):
-        for name in ("word_from_runs", "word_from_text", "word_to_text"):
+        for name in ("word_from_runs", "word_from_text"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, no_tree)
     cert = hamiltonian_path(m, k, u, v)

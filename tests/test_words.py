@@ -16,6 +16,8 @@ from conftest import (
     cycle_distance,
     expand,
     generator_words,
+    reference_word_from_text,
+    reference_word_to_text,
     staircase,
     walk_reference,
     word_trees,
@@ -27,17 +29,14 @@ from torusham import (
     Power,
     Symbol,
     TorusSpec,
-    flat_length,
     hamiltonian_path,
     trace,
     verify_ham_cycle,
     verify_ham_path,
-    word_from_flat,
     word_from_text,
-    word_to_text,
 )
 from torusham import words
-from torusham.words import _checked_flat, arcs_from_text, text_from_arcs, word_from_runs
+from torusham.words import arcs_from_text, text_from_arcs, word_from_flat, word_from_runs
 
 X1, X2 = Symbol(0), Symbol(1)
 
@@ -45,7 +44,6 @@ X1, X2 = Symbol(0), Symbol(1)
 def test_expand_nested_power():
     w = Power(Concat((Power(X1, 2), X2)), 3)
     assert expand(w) == [0, 0, 1, 0, 0, 1, 0, 0, 1]
-    assert flat_length(w) == 9
 
 
 def test_expand_zero_power_and_mixed():
@@ -64,11 +62,6 @@ def test_negative_exponent_rejected(exponent):
 def test_symbol_label_must_be_a_generator_index(label):
     with pytest.raises(ValueError, match="non-negative int"):
         Symbol(label)
-
-
-@given(generator_words(3))
-def test_flat_length_matches_expansion(w):
-    assert flat_length(w) == len(expand(w))
 
 
 @given(generator_words(2), st.integers(0, 8))
@@ -126,6 +119,11 @@ def test_verify_ham_path_hand_case():
     assert verify_ham_path(spec, (0, 0), (0, 1), w).verified
     cert = verify_ham_path(spec, (0, 0), (1, 0), w)
     assert not cert.verified and "endpoint" in cert.failure
+    # an endpoint that is no reduced vertex is raised, not reported
+    with pytest.raises(ValueError, match=r"^\(2, 0\) is not a reduced vertex of "):
+        verify_ham_path(spec, (2, 0), (0, 1), w)
+    with pytest.raises(ValueError, match=r"^\(0, 2\) is not a reduced vertex of "):
+        verify_ham_path(spec, (0, 0), (0, 2), w)
 
 
 def test_verify_ham_path_reports_first_repeat():
@@ -141,16 +139,23 @@ def test_verify_ham_path_length_mismatch():
     spec = TorusSpec((2, 2))
     cert = verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0]))
     assert not cert.verified and "length" in cert.failure
+    # a cycle claim of the wrong length is refused by its length, even one that closes at 0
+    for w, n in (("x1^2", 2), (b"\0\0\1\1\0", 5)):
+        got = verify_ham_cycle(spec, w)
+        assert (got.reason, got.position) == (f"length {n} != vertex count 4", None)
 
 
 def test_verify_ham_path_walks_bytes_and_keeps_the_tree_as_rendering():
     spec = TorusSpec((2, 2))
-    tree = word_from_flat([0, 1, 0])
-    from_tree = verify_ham_path(spec, (0, 0), (0, 1), tree)
+    from_text = verify_ham_path(spec, (0, 0), (0, 1), "x1 x2 x1")
     from_bytes = verify_ham_path(spec, (0, 0), (0, 1), bytes([0, 1, 0]))
-    assert from_tree.verified and from_bytes.verified
-    assert from_tree.arcs == from_bytes.arcs == b"\0\1\0" and from_tree.length == 3
-    assert from_tree.word is tree and from_bytes.word is None
+    assert from_text.verified and from_bytes.verified
+    assert from_text.arcs == from_bytes.arcs == b"\0\1\0" and from_text.length == 3
+    assert (from_text.claim, from_bytes.claim) == ("(x1 x2 x1)", None)
+    # a tree is only a construction's rendering, never a claim's
+    assert from_text.word is None and from_bytes.word is None
+    built = hamiltonian_path(2, 3, (0, 0, 0), (1, 0, 0))
+    assert verify_ham_path(built.spec, built.start, built.target, reference_word_to_text(built.word)).verified
     cert = verify_ham_path(spec, (0, 0), (0, 1), bytes([0, 0, 1]))
     assert (cert.failure, cert.failure_position, cert.arcs) == ("repeated vertex", 2, b"\0\0\1")
     with pytest.raises(ValueError, match="arc 2 is not a generator"):
@@ -159,17 +164,15 @@ def test_verify_ham_path_walks_bytes_and_keeps_the_tree_as_rendering():
 
 def test_verify_ham_path_takes_a_checked_flat_list():
     spec = TorusSpec((2, 2))
-    cert = verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 1, 0]))
+    cert = verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0, 1, 0]))
     assert cert.verified and cert.arcs == b"\0\1\0" and cert.word is None
-    short = verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 1]))
+    short = verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0, 1]))
     assert short.failure.startswith("length 2") and short.arcs == b"\0\1"
     # a wrong length is reported before the range check, even past a byte
-    wide = verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([300]))
+    wide = verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([300]))
     assert wide.failure.startswith("length 1") and wide.arcs == b""
     with pytest.raises(ValueError, match="arc 300 is not a generator"):
-        verify_ham_path(spec, (0, 0), (0, 1), _checked_flat([0, 300, 0]))
-    assert _checked_flat([0, 1, 0]) == b"\0\1\0"
-    assert _checked_flat(iter([0, 300, 0])) == [0, 300, 0]
+        verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0, 300, 0]))
 
 
 def test_verify_ham_path_refuses_an_unchecked_negative_arc():
@@ -214,41 +217,38 @@ def _peak_bytes(f, *args):
         tracemalloc.stop()
 
 
-def _nested(w, depth):
-    for _ in range(depth):
-        w = Concat((w,))
-    return w
-
-
-def test_rendering_a_deep_word_holds_a_few_copies_of_its_text():
-    text, peak = _peak_bytes(word_to_text, _nested(Concat((word_from_flat([0] * 300),) * 300), 200))
-    assert len(text) > 270_000
-    assert peak < 4 * len(text)
-
-
 def test_verify_ham_path_refuses_a_power_bomb_before_expanding():
+    # trees are output only: either verifier refuses a Symbol, a Concat or a Power by its type,
+    # and expands nothing
     spec = TorusSpec((3, 3))
-    cert = verify_ham_path(spec, (0, 0), (2, 2), Power(X1, 10**18))
-    assert cert.failure == f"length {10**18} != vertex count - 1 = 8"
-    assert cert.arcs == b""
+    for tree in (X1, Concat((X1, X2, X1)), Power(X1, 3), Power(X1, 10**18)):
+        message = f"^a claim is nested text, bytes or a list of ints, not {type(tree).__name__}$"
+        for verify, args in ((verify_ham_path, (spec, (0, 0), (2, 2), tree)), (verify_ham_cycle, (spec, tree))):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TypeError, match=message):
+                    verify(*args)
+                assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+            finally:
+                tracemalloc.stop()
 
 
-# a valid-length word with an empty power of a huge power spliced in
-EMPTY_BOMB = Power(Power(X1, 10**12), 0)
+# an empty power of a huge power: a valid-length word with it spliced in holds no more arcs
+EMPTY_BOMB = "(x1^1000000000000)^0"
 
 
 def test_verify_ham_path_expands_a_tree_under_its_budget():
     u, v = (0, 0, 0), (2, 0, 0)
     built = hamiltonian_path(3, 3, u, v)
-    tree = Concat(built.word.parts[:5] + (EMPTY_BOMB,) + built.word.parts[5:])
-    cert, peak = _peak_bytes(verify_ham_path, TorusSpec.power(3, 3), u, v, tree)
-    assert cert.verified and cert.arcs == built.arcs and cert.claim is tree
+    cut = [i for i, c in enumerate(built.text) if c == " "][4]
+    text = built.text[:cut] + " " + EMPTY_BOMB + built.text[cut:]
+    cert, peak = _peak_bytes(verify_ham_path, TorusSpec.power(3, 3), u, v, text)
+    assert cert.verified and cert.arcs == built.arcs and cert.claim == text
     assert peak < 64 * 1024
 
 
 def test_verify_ham_cycle_expands_a_tree_under_its_budget():
-    tree = Concat((EMPTY_BOMB, Power(X1, 3)))
-    cycle, peak = _peak_bytes(verify_ham_cycle, TorusSpec((3,)), tree)
+    cycle, peak = _peak_bytes(verify_ham_cycle, TorusSpec((3,)), EMPTY_BOMB + " x1^3")
     assert isinstance(cycle, Cycle) and cycle.arcs == b"\0\0\0"
     assert peak < 64 * 1024
 
@@ -258,24 +258,21 @@ def test_labels_past_a_byte_keep_the_generator_range_check():
     with pytest.raises(ValueError, match="arc 299 is not a generator"):
         verify_ham_path(spec, (0, 0), (0, 1), word_from_flat([0, 299, 0]))
     # an empty power of a label past a byte expands to nothing
-    w = Concat((X1, Power(Symbol(299), 0), X2, X1))
-    assert verify_ham_path(spec, (0, 0), (0, 1), w).verified
+    assert verify_ham_path(spec, (0, 0), (0, 1), "x1 x300^0 x2 x1").verified
 
 
 @given(generator_words(2, max_exponent=3))
 def test_verify_matches_naive_reimplementation(w):
     spec = TorusSpec((2, 3))
     for target in spec.vertices():
-        got = verify_ham_path(spec, (0, 0), target, w).verified
+        got = verify_ham_path(spec, (0, 0), target, reference_word_to_text(w)).verified
         assert got == _naive_ham_path(spec, (0, 0), target, w)
 
 
 def test_verify_ham_cycle_examples():
     spec = TorusSpec((3, 3))
-    good = Power(Concat((Power(Symbol(0), 2), Symbol(1))), 3)
-    assert isinstance(verify_ham_cycle(spec, good), Cycle)
-    assert verify_ham_cycle(spec, word_to_text(good)) == Cycle(spec, bytes([0, 0, 1] * 3))
-    bad = verify_ham_cycle(spec, Power(Power(Symbol(0), 3), 3))
+    assert verify_ham_cycle(spec, "(x1^2 x2)^3") == Cycle(spec, bytes([0, 0, 1] * 3))
+    bad = verify_ham_cycle(spec, "(x1^3)^3")
     assert isinstance(bad, CycleRejection)
     assert bad.reason == "revisits a vertex early"
     spec22 = TorusSpec((2, 2))
@@ -621,18 +618,18 @@ def test_verify_locates_adjacent_swaps_of_long_run_certificates(monkeypatch, rew
 def test_text_round_trip_pinned_example():
     text = "((x1^1 x2^2)^1 (x1^1 x2 x1)^6 (x1^1 x2^2)^1 x1^1 x2)"
     w = word_from_text(text)
-    assert word_to_text(w) == text
+    assert reference_word_to_text(w) == text
 
 
 def test_generator_rendering():
     w = Power(Concat((Power(Symbol(0), 2), Symbol(1))), 3)
-    assert word_to_text(w) == "(x1^2 x2)^3"
+    assert reference_word_to_text(w) == "(x1^2 x2)^3"
     assert word_from_text("(x1^2 x2)^3") == w
 
 
 @given(generator_words(5))
 def test_text_round_trip_random_trees(w):
-    assert word_from_text(word_to_text(w)) == w
+    assert word_from_text(reference_word_to_text(w)) == w
 
 
 def test_text_parse_errors():
@@ -648,18 +645,21 @@ def test_text_rejects_letter_tokens():
 
 
 def test_flat_round_trip():
-    arcs = [0, 2, 1, 1, 0]
-    w = word_from_flat(arcs)
-    assert expand(w) == arcs
+    # bytes for entries below 256, from a list or any other iterable
+    assert word_from_flat([0, 2, 1, 1, 0]) == b"\0\2\1\1\0"
+    assert word_from_flat(iter([0, 255])) == b"\0\xff" and word_from_flat([]) == b""
+    # an entry past a byte: the list itself, kept for the verifiers' range check to name
+    wide = [0, 300, 0]
+    assert word_from_flat(wide) is wide and word_from_flat(iter(wide)) == wide
     # set() merges 1, 1.0 and True, so every entry is checked, not each distinct value
-    for bad in (["a"], [0, 1.0], [0, True], [0, -1]):
-        with pytest.raises(ValueError):
+    for bad, name in ((["a"], "'a'"), ([0, 1.0], "1.0"), ([0, True], "True"), ([0, -1], "-1"), ([300, -1], "-1")):
+        with pytest.raises(ValueError, match=f"^flat form entries must be non-negative ints, got {re.escape(name)}$"):
             word_from_flat(bad)
 
 
 def test_parsers_share_equal_nodes():
     # one node per distinct leaf keeps a parsed million-arc certificate small
-    flat = word_from_flat([0, 1] * 1000)
+    flat = word_from_runs(bytes([0, 1] * 1000), 0)
     assert len({id(p) for p in flat.parts}) == 2
     text = word_from_text("(x1 x2^2 x1 x2^2)")
     assert text.parts[0] is text.parts[2] and text.parts[1] is text.parts[3]
@@ -673,7 +673,7 @@ ARC_BYTES = st.sampled_from([0, 1, 10, 40, 42, 255])
 def test_run_length_encoder_round_trip(arcs, g):
     w = word_from_runs(arcs, g)
     assert expand(w) == list(arcs)
-    assert set(re.findall(r"(\w+)\^", word_to_text(w))) <= {f"x{g + 1}"}
+    assert set(re.findall(r"(\w+)\^", reference_word_to_text(w))) <= {f"x{g + 1}"}
     labels = [p.base.label if isinstance(p, Power) else p.label for p in w.parts]
     assert not any(a == b == g for a, b in zip(labels, labels[1:])), "runs must be maximal"
 
@@ -681,72 +681,9 @@ def test_run_length_encoder_round_trip(arcs, g):
 # --- the text codec against the recursive reference ---------------------------
 #
 # The recursive-descent parser and the recursive renderer that the flat codec
-# replaced, kept as references: the codec must accept and reject the same
-# inputs and give equal trees and equal text.
-
-_REF_TOKEN_RE = re.compile(r"\(|\)|\^|\d+|[A-Za-z][A-Za-z0-9]*")
-_REF_GEN_RE = re.compile(r"x[0-9]+\Z")
-
-
-def reference_word_to_text(w):
-    def item(node):
-        if isinstance(node, Symbol):
-            return f"x{node.label + 1}"
-        if isinstance(node, Concat):
-            return "(" + " ".join(item(p) for p in node.parts) + ")"
-        if isinstance(node, Power):
-            return f"{item(node.base)}^{node.exponent}"
-        raise TypeError(f"not a word: {node!r}")
-
-    return item(w)
-
-
-def reference_word_from_text(text):
-    tokens = _REF_TOKEN_RE.findall(text)
-    if "".join(tokens) != re.sub(r"\s+", "", text):
-        raise ValueError("unrecognized characters in word text")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_item():
-        nonlocal pos
-        tok = peek()
-        if tok == "(":
-            pos += 1
-            parts = []
-            while peek() not in (")", None):
-                parts.append(parse_item())
-            if peek() != ")":
-                raise ValueError("unbalanced parenthesis in word text")
-            pos += 1
-            node = Concat(tuple(parts))
-        elif tok is not None and _REF_GEN_RE.match(tok):
-            pos += 1
-            index = int(tok[1:])
-            if index < 1:
-                raise ValueError(f"generator token {tok!r} must be x1 or higher")
-            node = Symbol(index - 1)
-        else:
-            raise ValueError(f"unexpected token {tok!r} in word text")
-        while peek() == "^":
-            pos += 1
-            exp = peek()
-            if exp is None or not exp.isdigit():
-                raise ValueError("exponent must be a non-negative integer")
-            pos += 1
-            node = Power(node, int(exp))
-        return node
-
-    items = []
-    while peek() is not None:
-        if peek() == ")":
-            raise ValueError("unbalanced parenthesis in word text")
-        items.append(parse_item())
-    if len(items) == 1:
-        return items[0]
-    return Concat(tuple(items))
+# replaced (reference_word_from_text and reference_word_to_text in conftest):
+# the codec must accept and reject the same inputs and give equal trees and
+# equal text.
 
 
 def _outcome(parse, text):
@@ -779,23 +716,6 @@ def test_parser_agrees_with_the_recursive_reference(text):
     assert _outcome(word_from_text, text) == _outcome(reference_word_from_text, text)
 
 
-def _shared_node_words(k):
-    # Concats and Powers that reuse a small pool of node objects
-    return st.lists(generator_words(k), min_size=1, max_size=4).flatmap(
-        lambda pool: st.lists(st.sampled_from(pool), max_size=8).flatmap(
-            lambda parts: st.sampled_from(
-                [Concat(tuple(parts)), Power(Concat(tuple(parts)), 2), Concat((Concat(tuple(parts)),) * 2)]
-            )
-        )
-    )
-
-
-@given(st.one_of(generator_words(12), _shared_node_words(4)))
-def test_renderer_agrees_with_the_recursive_reference(w):
-    assert word_to_text(w) == reference_word_to_text(w)
-    assert flat_length(w) == len(expand(w))
-
-
 def test_parser_takes_deep_nesting_without_recursion():
     depth = 3000
     node = word_from_text("(" * depth + "x1" + ")" * depth)
@@ -813,7 +733,7 @@ def test_parser_takes_deep_nesting_without_recursion():
 # --- the bytes codec against the tree reference ------------------------------
 #
 # arcs_from_text and text_from_arcs never build a tree; word_from_text,
-# flat_length, expand, word_to_text and word_from_runs are their reference.
+# expand, reference_word_to_text and word_from_runs are their reference.
 
 # labels past a byte, under ^0 or not, and big exponents against small budgets
 BIG_LABEL_TEXTS = word_trees(st.sampled_from([0, 1, 299, 10**20]), max_exponent=9).map(
@@ -841,12 +761,12 @@ def test_bytes_parser_agrees_with_the_tree_reference(text, budget):
         assert got == (ValueError, str(exc))
         return
     n, canonical, arcs, top = got
-    assert n == flat_length(tree)
-    assert canonical == word_to_text(tree)
+    flat = expand(tree)
+    assert n == len(flat)
+    assert canonical == reference_word_to_text(tree)
     if n > budget:
         assert arcs is None
         return
-    flat = expand(tree)
     assert top == max(flat, default=-1)
     # labels past a byte are held as 255, and top reports them
     assert arcs == bytes(min(g, 255) for g in flat)
@@ -879,8 +799,8 @@ def test_bytes_codec_slices_long_runs():
     rng = random.Random(5)
     arcs = bytes(rng.choice(b"\0\0\0\1\2") for _ in range(3 * words._SLICE + 7))
     text = text_from_arcs(arcs, 0)
-    assert text == word_to_text(word_from_runs(arcs, 0))
-    assert text_from_arcs(arcs) == word_to_text(word_from_flat(arcs))
+    assert text == reference_word_to_text(word_from_runs(arcs, 0))
+    assert text_from_arcs(arcs) == reference_word_to_text(Concat(tuple(map(Symbol, arcs))))
     assert arcs_from_text(text, len(arcs)) == (len(arcs), text, arcs, 2)
     assert arcs_from_text(text, len(arcs) - 1)[2] is None
 
@@ -889,8 +809,8 @@ def test_bytes_codec_slices_long_runs():
 @example(b"", 0)
 @example(b"\0\1\1\0", 7)
 def test_renderer_agrees_with_the_tree_reference(arcs, g):
-    assert text_from_arcs(arcs, g) == word_to_text(word_from_runs(arcs, g))
-    assert text_from_arcs(arcs) == word_to_text(word_from_flat(arcs))
+    assert text_from_arcs(arcs, g) == reference_word_to_text(word_from_runs(arcs, g))
+    assert text_from_arcs(arcs) == reference_word_to_text(Concat(tuple(map(Symbol, arcs))))
 
 
 # whitespace to \s: \t, \n, \x0b, \x1c, \x1f, \x85, \xa0 and \u2003; digits to \d: \u0663 and
@@ -941,7 +861,8 @@ def test_bytes_parser_gives_the_canonical_text_whatever_the_separators(parts, si
     except ValueError as exc:
         assert got == (ValueError, str(exc))
         return
-    assert got[:3] == (flat_length(tree), word_to_text(tree), bytes(expand(tree)))
+    flat = expand(tree)
+    assert got[:3] == (len(flat), reference_word_to_text(tree), bytes(flat))
 
 
 def test_bytes_parser_takes_distinct_tokens_in_linear_time(monkeypatch):
