@@ -113,27 +113,83 @@ def endpoint_record(report) -> dict:
     }
 
 
-def word_from_record(value) -> str | list:
-    """The word of a record: its nested text or its flat array, as is.
+# what the record reader makes of a JSON array: bytes for single digits, else a list
+_ARRAY = (bytes, list)
+# the value of each ASCII digit
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+# json.loads's own scanner (C when _json is built), for every value _json_value does not read
+_scan_value = json.JSONDecoder().scan_once
 
-    verify_ham_path checks either, once the spec gives it a length budget.
+
+def _digit_bytes(s: str, start: int, close: int) -> bytes | None:
+    """The digits' values when s[start:close] is "d, d, ..., d" of ASCII digits, else None.
+
+    n digits take 3n - 2 characters.  With a digit at every third, ", "
+    fits only in the n - 1 gaps, so counting it checks them all; the UTF-8
+    of any other character holds no ASCII digit.  Text of any other shape
+    is refused by its length or by the count, before anything is copied;
+    with no "]" found, close is -1 and n - 1 is negative.
+    """
+    n, rest = divmod(close - start + 2, 3)
+    if rest or s.count(", ", start, close) != n - 1:
+        return None
+    digits = s[start:close:3].encode()
+    return digits.translate(_DIGIT_VALUES) if digits.isdigit() else None
+
+
+def _json_value(s: str, idx: int) -> tuple:
+    """(value, end) of the JSON value at s[idx], as json.loads reads it, but for digit arrays.
+
+    An object is read here, so each of its values comes back through this
+    function.  An array that json.dumps wrote of single-digit ints is read
+    to bytes by _digit_bytes: its text runs to the next "]" and holds no
+    bracket, so it is the whole array.  Any other array, and every other
+    value, goes to json.loads's scanner, whose list or error json.loads
+    gives.  Numbers never go through json's pure-Python scanner, which
+    reads Unicode digits (1٣ as 13) that json.loads refuses.
+    """
+    char = s[idx : idx + 1]
+    if char == "{":
+        return json.decoder.JSONObject((s, idx + 1), True, _json_value, None, None)
+    if char == "[":
+        close = s.find("]", idx)
+        arcs = _digit_bytes(s, idx + 1, close)
+        if arcs is not None:
+            return arcs, close + 1
+    return _scan_value(s, idx)
+
+
+_DECODER = json.JSONDecoder()
+_DECODER.scan_once = _json_value
+
+
+def word_from_record(value) -> str | bytes | list:
+    """The word of a record: its nested text or its flat array, as the reader gives it.
+
+    A flat array comes as bytes when json.dumps wrote it of single digits,
+    else as a list.  verify_ham_path checks any of them, once the spec
+    gives it a length budget: it range-checks bytes and checks a list's
+    entries.
     """
     if isinstance(value, dict):
-        for key, kind in (("nested", str), ("flat", list)):
+        for key, kind, name in (("nested", str, "str"), ("flat", _ARRAY, "list")):
             if key in value:
                 if not isinstance(value[key], kind):
-                    raise ValueError(f"word entry {key!r} must be a {kind.__name__}")
+                    raise ValueError(f"word entry {key!r} must be a {name}")
                 value = value[key]
                 break
         else:
             raise ValueError("word object needs a 'nested' or 'flat' entry")
-    if isinstance(value, (str, list)):
+    if isinstance(value, (str, *_ARRAY)):
         return value
     raise ValueError(f"cannot read a word from {type(value).__name__}")
 
 
 def _record_ints(payload: dict, key: str) -> list[int]:
     value = payload[key]
+    if isinstance(value, bytes):
+        # the reader's single digits
+        return list(value)
     if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ValueError(f"record entry {key!r} must be a list of integers")
     return value
@@ -192,10 +248,15 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | list]:
+def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | bytes | list]:
     """verify's (spec, start, target, word): from the flags, then a record, text or flat array.
 
-    The input text and the decoded record are dropped on return, before the word is checked.
+    JSON is read by _DECODER: a flat array of single digits as bytes, any
+    other array as a list.  Its objects nest in Python frames, so a record
+    nested too deep for them is read again by json.loads, whose answer,
+    record or error, stands.  Input that is no JSON is nested text.  The
+    input text and the decoded record are dropped on return, before the
+    word is checked.
     """
     if (args.m is None) != (args.k is None):
         raise ValueError("--m and --k must be given together")
@@ -210,7 +271,10 @@ def _read_claim(args) -> tuple[TorusSpec, Vertex, Vertex, str | list]:
     moduli = None
     start, target = args.from_, args.to
     try:
-        payload = json.loads(raw)
+        try:
+            payload = _DECODER.decode(raw)
+        except RecursionError:
+            payload = json.loads(raw)
     except json.JSONDecodeError:
         word = raw
     else:

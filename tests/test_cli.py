@@ -320,6 +320,13 @@ def test_verify_flat_json_word():
     assert checked.returncode == 0
 
 
+def test_verify_reads_a_file(tmp_path, capsys):
+    word = tmp_path / "word.txt"
+    word.write_text(json.dumps([0, 1, 0]) + "\n")
+    assert cli.main(["verify", "--m", "2", "--k", "2", "--to", "0,1", "--file", str(word)]) == 0
+    assert json.loads(capsys.readouterr().out)["length"] == 3
+
+
 MISSING_FILE = os.path.join(os.path.dirname(__file__), "no-such-word.txt")
 CUBE_WORD = "(x1 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3 x1^2 x2 x1^2 x2 x1^2 x3)"
 CUBE_RECORD = json.dumps(
@@ -335,6 +342,7 @@ CUBE_RECORD = json.dumps(
         ([], json.dumps({"moduli": 5, "to": [2, 0, 0], "word": CUBE_WORD})),
         ([], json.dumps({"moduli": [3, 3, 3], "from": 5, "to": [2, 0, 0], "word": CUBE_WORD})),
         ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": {"flat": 5}})),
+        ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": 5})),
         # int() would read 3.9 as 3, and the word verifies on (Z_3)^3
         ([], json.dumps({"moduli": [3.9, 3, 3], "to": [2, 0, 0], "word": CUBE_WORD})),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[true]"),
@@ -346,6 +354,7 @@ CUBE_RECORD = json.dumps(
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "(" * 3000 + "x1" + ")" * 2999),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "x1" + "^1" * 3000 + "^"),
         (["--m", "3", "--k", "3", "--to", "2,0,0"], "[" * 100000 + "]" * 100000),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], " \n"),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", MISSING_FILE], ""),
         (["--m", "3", "--k", "3", "--to", "2,0,0", "--file", os.curdir], ""),
         # CUBE_RECORD verifies on its own, so only the lone --m or --k can fail these
@@ -353,9 +362,10 @@ CUBE_RECORD = json.dumps(
         (["--k", "4"], CUBE_RECORD),
     ],
     ids=[
-        "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "moduli-float",
+        "unknown-generator", "letter-symbol", "moduli-int", "from-int", "flat-int", "word-int",
+        "moduli-float",
         "flat-true", "flat-float", "flat-negative", "flat-300",
-        "deep-parentheses", "deep-powers", "deep-json-array", "missing-file", "directory-file",
+        "deep-parentheses", "deep-powers", "deep-json-array", "blank", "missing-file", "directory-file",
         "lone-m", "lone-k",
     ],
 )
@@ -414,6 +424,110 @@ def test_verify_flat_array_messages(monkeypatch, capsys, arcs, code, stderr, kep
     assert (certs[0].arcs if certs else None) == kept
 
 
+def _decoded(decode, text):
+    """decode(text) with every bytes read as its list, or the type of what it raised."""
+    def lists(value):
+        if isinstance(value, bytes):
+            return list(value)
+        if isinstance(value, dict):
+            return {key: lists(item) for key, item in value.items()}
+        return [lists(item) for item in value] if isinstance(value, list) else value
+
+    try:
+        return lists(decode(text))
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[0,1]", "[0, 1 ]", "[ 0, 1]", "[0,  1]", "[\n0, 1]", "[0, 10]", "[01]", "[0, 1,]", "[0, 1",
+        "[]", "[7]", '["1"]', "[0, -1]", "[1.0]", "[true]", "[0, [1]]", "[\u0663]",
+        "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]", "[0, 1]]", "[0, 1] x", "[[0, 1], [2]]", '["]", 0]',
+        "[0,11]", "[0,\t1]", "[0,,1]", "[0 ,1]", "[0, 1, 2 ]", "[0\u0663 1]", "[0, 1, 23]", "[0, 12, 3]",
+        '{"a": [0, 1], "b": {"c": [2]}, "d": [0, 1}',
+        # json.loads reads no Unicode digit in a number, the pure-Python scanner would (13)
+        "1\u0663", '{"a": 1\u0663}', "[1\u0663]", '{"a": 1.\u0663}',
+        "1" * 5000, '{"a": ' + "1" * 5000 + "}", "[" * 100000,
+    ],
+)
+def test_record_reader_reads_what_json_loads_reads(text):
+    decoded = _decoded(cli._DECODER.decode, text)
+    assert decoded == _decoded(json.loads, text)
+    if isinstance(decoded, list):
+        # an array as json.dumps writes single digits comes as bytes, any other as a list
+        canonical = re.fullmatch(r"\[[0-9](, [0-9])*\]", text) is not None
+        assert isinstance(cli._DECODER.decode(text), bytes) == canonical
+
+
+def test_digit_bytes_needs_its_closing_bracket():
+    # find gives -1 for "[7,", which as a slice bound would read "7" as the whole array
+    assert cli._digit_bytes("[7,", 1, "[7,".find("]")) is None
+    assert cli._digit_bytes("[7, 8]", 1, 5) == bytes([7, 8])
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ('{"nested": "x1"}', "x1"),
+        ('{"flat": [0, 1]}', b"\0\1"),
+        ('{"flat": [0, 10]}', [0, 10]),
+        ("[2]", b"\2"),
+        ('{"nested": [0, 1]}', ValueError("word entry 'nested' must be a str")),
+        ('{"flat": "x1"}', ValueError("word entry 'flat' must be a list")),
+        ('{"x": [0, 1]}', ValueError("word object needs a 'nested' or 'flat' entry")),
+        ("5", ValueError("cannot read a word from int")),
+    ],
+)
+def test_word_from_record_takes_what_the_reader_gives(text, word):
+    value = cli._DECODER.decode(text)
+    if isinstance(word, ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(word))}$"):
+            word_from_record(value)
+    else:
+        got = word_from_record(value)
+        assert got == word and type(got) is type(word)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, kind, code",
+    [
+        ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": {"flat": CUBE_ARCS}}), bytes, 0),
+        (["--m", "3", "--k", "3", "--to", "2,0,0"], json.dumps(CUBE_ARCS), bytes, 0),
+        ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": CUBE_ARCS[:2]}), bytes, 2),
+        ([], json.dumps({"moduli": [2] * 10, "to": [1] + [0] * 9, "word": {"flat": [9, 0]}}), bytes, 2),
+        # an arc of 10 or more takes two digits: the array is read as a list
+        ([], json.dumps({"moduli": [2] * 12, "to": [1] + [0] * 11, "word": {"flat": [11, 0]}}), list, 2),
+        ([], json.dumps({"moduli": [3, 3, 3], "to": [2, 0, 0], "word": {"flat": CUBE_ARCS}}, indent=1),
+         list, 0),
+    ],
+    ids=["record", "bare", "bare-in-record", "k10", "k12", "indented"],
+)
+def test_digit_arrays_reach_the_verifier_as_bytes(monkeypatch, capsys, argv, stdin, kind, code):
+    claims, checked = [], []
+
+    def recording(spec, start, target, w):
+        claims.append(w)
+        return verify_ham_path(spec, start, target, w)
+
+    def checking(arcs):
+        checked.append(arcs)
+        return reference(arcs)
+
+    reference = words.word_from_flat
+    monkeypatch.setattr(cli, "verify_ham_path", recording)
+    monkeypatch.setattr(words, "word_from_flat", checking)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(["verify", *argv]) == code
+    assert [type(w) for w in claims] == [kind]
+    # bytes need no entry check: only a list meets word_from_flat
+    assert checked == ([] if kind is bytes else claims)
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["length"] == 26
+
+
 @pytest.mark.parametrize("depth", [600, 3000])
 def test_deep_word_text_reaches_the_length_check(depth):
     # text nesting costs no recursion, so the outcome does not depend on sys.getrecursionlimit()
@@ -427,6 +541,20 @@ def test_deep_word_text_reaches_the_length_check(depth):
     checked = run("verify", stdin=json.dumps(record))
     assert checked.returncode == 0, checked.stderr
     assert json.loads(checked.stdout)["word"]["nested"] == deep
+
+
+@pytest.mark.parametrize("depth, code", [(600, 0), (3000, 1)])
+def test_deep_record_keeps_the_answer_of_json_loads(depth, code):
+    # the record reader nests objects in Python frames; too deep for them, json.loads answers
+    extra = '{"x": ' * depth + "0" + "}" * depth
+    checked = run("verify", stdin=CUBE_RECORD[:-1] + ', "extra": ' + extra + "}")
+    assert checked.returncode == code
+    if code:
+        assert checked.stderr == (
+            "error: maximum recursion depth exceeded while decoding a JSON object from a unicode string\n"
+        )
+    else:
+        assert checked.stderr == "" and json.loads(checked.stdout)["word"]["nested"] == CUBE_WORD
 
 
 def test_memory_error_is_one_error_line(monkeypatch, capsys):
@@ -578,6 +706,12 @@ def test_verify_fuzz_keeps_the_exit_contract(monkeypatch, capsys, argv, stdin):
     else:
         assert code == 2 and captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("not a hamiltonian path: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_RECORDS, _FLAT.map(json.dumps), _FLAT.map(lambda a: json.dumps(a, indent=1))))
+def test_record_reader_matches_json_loads(text):
+    assert _decoded(cli._DECODER.decode, text) == _decoded(json.loads, text)
 
 
 def test_verify_without_spec_is_an_error():
